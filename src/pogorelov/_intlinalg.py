@@ -3,6 +3,13 @@
 Matrices are dense lists of rows of Python ints.  Everything here is sized
 for desk-scale inputs (a few hundred rows/columns); the integer routines
 prefer +-1 pivots to keep coefficient growth down.
+
+GF(2) vectors are Python ints, bit i = coordinate i.  ``gf2_vector`` packs a
+row or column of integer entries into one; ``GF2Echelon`` is the one
+elimination over GF(2): ``add`` stores a vector in echelon form, ``reduce``
+reduces a vector against the stored ones while XORing a tracked combination,
+and ``solve`` back-substitutes a consistent system.  ``gf2_rank`` and
+``gf2_kernel`` are built on it.
 """
 
 from __future__ import annotations
@@ -276,27 +283,31 @@ class ZQuotient:
 # GF(2): vectors are ints, bit i = coordinate i.
 
 
-def gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    pivots = []
-    for v in rows:
-        for p in pivots:
-            v = min(v, v ^ p)
-        if v:
-            pivots.append(v)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+def gf2_vector(entries) -> int:
+    """Pack integer entries into a GF(2) vector: bit i = entries[i] mod 2."""
+    bits = 0
+    for i, a in enumerate(entries):
+        if a % 2:
+            bits |= 1 << i
+    return bits
 
 
 class GF2Echelon:
-    """Incremental echelon form with combination tracking."""
+    """Incremental echelon form with combination tracking.
+
+    Each stored vector sits under its highest set bit (its pivot) together
+    with a combination: an int the caller XORs along, such as the indices of
+    the input vectors that built it, or the right-hand side of an equation.
+    """
 
     def __init__(self):
         self.pivot_of = {}  # pivot bit position -> (vector, combination)
         self.count = 0
 
     def reduce(self, v: int, comb: int = 0):
+        """(v', comb', b): v reduced until its highest bit b is not a pivot,
+        with the pivots' combinations XORed into comb; (0, comb', -1) when v
+        lies in the span."""
         while v:
             b = v.bit_length() - 1
             if b in self.pivot_of:
@@ -307,7 +318,7 @@ class GF2Echelon:
                 return v, comb, b
         return 0, comb, -1
 
-    def add(self, v: int, comb: int) -> bool:
+    def add(self, v: int, comb: int = 0) -> bool:
         v, comb, b = self.reduce(v, comb)
         if v == 0:
             return False
@@ -315,14 +326,34 @@ class GF2Echelon:
         self.count += 1
         return True
 
+    def solve(self) -> int:
+        """A solution x (bit i = variable i) of the equations v . x = c added
+        as (v, c) with c in {0, 1}; pivots are taken in ascending order and
+        free variables set to 0.  The caller rejects a system in which an
+        equation reduced to 0 = 1."""
+        x = 0
+        for b in sorted(self.pivot_of):
+            v, rhs = self.pivot_of[b]
+            # bits of v below b are earlier pivots (already set) or free (0)
+            if rhs ^ ((v & x).bit_count() & 1):
+                x |= 1 << b
+        return x
 
-def gf2_kernel(columns: list[int], track_bits: int) -> list[int]:
+
+def gf2_rank(rows: list[int]) -> int:
+    ech = GF2Echelon()
+    for v in rows:
+        ech.add(v)
+    return ech.count
+
+
+def gf2_kernel(columns: list[int]) -> list[int]:
     """Kernel of the map with the given columns; kernel vectors are ints over
-    column indices (track_bits = number of columns)."""
+    column indices."""
     ech = GF2Echelon()
     kernel = []
-    for j in range(track_bits):
-        v, comb, _ = ech.reduce(columns[j], 1 << j)
+    for j, col in enumerate(columns):
+        v, comb, _ = ech.reduce(col, 1 << j)
         if v == 0:
             kernel.append(comb)
         else:

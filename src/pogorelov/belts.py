@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complex import chordless_cycles, full_subcomplex, reduced_cohomology
-from .polytope import SimplePolytope, dual_complex, is_isomorphic, catalog
+from .complex import _mask, _unmask, chordless_cycles, full_subcomplex, reduced_cohomology
+from .polytope import SimplePolytope, dual_complex
 
 
 class BeltNotFound(LookupError):
@@ -34,21 +34,10 @@ def _three_belts(P: SimplePolytope):
     adj = P.adjacency()
     out = []
     for i in range(1, P.m + 1):
-        ai = adj[i] >> i  # neighbors above i
-        j = i + 1
-        mask = ai
-        while mask:
-            if mask & 1:
-                common = adj[i] & adj[j] & ~((1 << j) - 1)
-                l = j + 1
-                cm = common >> j
-                while cm:
-                    if cm & 1 and not K.has_face((i, j, l)):
-                        out.append((i, j, l))
-                    cm >>= 1
-                    l += 1
-            mask >>= 1
-            j += 1
+        for j in _unmask(adj[i] >> i << i):  # neighbors above i
+            for l in _unmask((adj[i] & adj[j]) >> j << j):
+                if not K.has_face((i, j, l)):
+                    out.append((i, j, l))
     return out
 
 
@@ -78,8 +67,11 @@ def has_belt(P: SimplePolytope, k: int) -> bool:
 
 
 def is_flag_polytope(P: SimplePolytope) -> bool:
-    """Flag iff P is not the simplex and has no 3-belt."""
-    if is_isomorphic(P, catalog("simplex")) is not None:
+    """Flag iff P is not the simplex and has no 3-belt.
+
+    The simplex is the only simple 3-polytope with four facets, and no
+    rotation system with fewer is accepted."""
+    if P.m == 4:
         return False
     return not has_belt(P, 3)
 
@@ -95,9 +87,7 @@ def facet_belt(P: SimplePolytope, i: int) -> tuple[int, ...] | None:
     k = len(nbrs)
     if k == 3:
         # three pairwise adjacent facets; a belt requires no common vertex
-        from .polytope import dual_complex as _dc
-
-        if _dc(P).has_face(nbrs):
+        if dual_complex(P).has_face(nbrs):
             return None
         return canonical_belt(nbrs)
     for a in range(k):
@@ -202,7 +192,7 @@ def find_component_avoiding_belt(P: SimplePolytope, i: int, i2: int, k: int):
         belt = canonical_belt(cyc)
         arcs = belt_arcs(belt, i, i2)
         for idx in (0, 1):
-            if not any(adj_k >> (f - 1) & 1 for f in arcs[idx]):
+            if not adj_k & _mask(arcs[idx]):
                 cand = (len(belt), belt, idx)
                 if best is None or cand < best:
                     best = cand

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .errors import InvariantViolation, SizeGuard
+
 
 class NotCharacteristic(ValueError):
     pass
@@ -21,10 +23,6 @@ class NotCharacteristic(ValueError):
 class LiftFailed(RuntimeError):
     """Mod-2 lift produced a non-characteristic matrix (cannot happen for
     n = 3 by the 0/1-determinant argument; surfaced rather than ignored)."""
-
-
-class SizeGuard(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -211,11 +209,15 @@ class PairEquivalence:
         return True
 
 
-def _mat_inverse_unimodular(cols):
-    """Inverse (as rows) of the matrix with the given columns, det = +-1."""
+def _mat_inverse(cols, ring):
+    """Inverse (as rows) of the n x n matrix (n = 2, 3) with the given columns
+    over ring 'Z' or 'Z2', or None when it is not invertible there.
+
+    Over Z the determinant must be +-1; over Z2 it must be odd, and then the
+    adjugate reduced mod 2 is the inverse."""
     n = len(cols)
     d = _det(cols)
-    if d not in (1, -1):
+    if not (d % 2 if ring == "Z2" else d in (1, -1)):
         return None
     if n == 2:
         (a, c), (b, d2) = cols
@@ -230,46 +232,25 @@ def _mat_inverse_unimodular(cols):
             )
             for i in range(3)
         )
+    if ring == "Z2":
+        return tuple(tuple(a % 2 for a in row) for row in adj)
     return tuple(tuple(a * d for a in row) for row in adj)
 
 
 def _solve_A(base_cols, target_cols, ring):
     """A with A * base = target, both bases unimodular/odd."""
-    if ring == "Z2":
-        inv = _gf2_inverse(base_cols)
-        if inv is None:
-            return None
-        n = len(base_cols)
-        return tuple(
-            tuple(
-                sum(target_cols[k][r] * inv[k][s] for k in range(n)) % 2
-                for s in range(n)
-            )
-            for r in range(n)
-        )
-    inv = _mat_inverse_unimodular(base_cols)
+    inv = _mat_inverse(base_cols, ring)
     if inv is None:
         return None
     n = len(base_cols)
     # A = target_matrix * inv where target matrix has target_cols as columns
-    return tuple(
+    A = tuple(
         tuple(sum(target_cols[k][r] * inv[k][s] for k in range(n)) for s in range(n))
         for r in range(n)
     )
-
-
-def _gf2_inverse(cols):
-    n = len(cols)
-    M = [[cols[j][i] % 2 for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            return None
-        M[c], M[piv] = M[piv], M[c]
-        for r in range(n):
-            if r != c and M[r][c]:
-                M[r] = [(x + y) % 2 for x, y in zip(M[r], M[c])]
-    return tuple(tuple(M[i][n + j] for j in range(n)) for i in range(n))  # rows
+    if ring == "Z2":
+        return tuple(tuple(a % 2 for a in row) for row in A)
+    return A
 
 
 def pairs_equivalent(P, L: CharMatrix, P2, L2: CharMatrix) -> PairEquivalence | None:
@@ -319,7 +300,7 @@ def pairs_equivalent(P, L: CharMatrix, P2, L2: CharMatrix) -> PairEquivalence | 
             if good:
                 witness = PairEquivalence(sigma=dict(sigma), A=A, B=tuple(B))
                 if not witness.check(L, L2):
-                    raise RuntimeError("internal witness verification failed")
+                    raise InvariantViolation("internal witness verification failed")
                 return witness
     return None
 

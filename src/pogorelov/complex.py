@@ -11,24 +11,35 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ._intlinalg import gf2_rank, invariant_factors, rank_z
+from ._intlinalg import gf2_rank, gf2_vector, invariant_factors
 
 
 def _mask(vertices) -> int:
+    """Bitmask of a vertex collection (bit i-1 = vertex i); an int is taken
+    to be a mask already."""
+    if isinstance(vertices, int):
+        return vertices
     m = 0
     for v in vertices:
         m |= 1 << (v - 1)
     return m
 
 
-def _unmask(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 1
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending (vertex = position + 1)."""
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _unmask(mask: int) -> tuple[int, ...]:
+    """Vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -41,7 +52,7 @@ class SimplicialComplex:
         masks = set()
         full = (1 << m) - 1
         for f in maximal_faces:
-            fm = f if isinstance(f, int) else _mask(f)
+            fm = _mask(f)
             if fm & ~full:
                 raise ValueError(f"vertex index out of range 1..{m}: {_unmask(fm & ~full)}")
             masks.add(fm)
@@ -67,7 +78,7 @@ class SimplicialComplex:
         return [_unmask(f) for f in self._maximal]
 
     def has_face(self, vertices) -> bool:
-        fm = vertices if isinstance(vertices, int) else _mask(vertices)
+        fm = _mask(vertices)
         if fm == 0:
             return True
         return any(fm & ~g == 0 for g in self._maximal)
@@ -83,7 +94,7 @@ class SimplicialComplex:
                         seen.add(_mask(sub))
             by_size = {}
             for f in seen:
-                by_size.setdefault(bin(f).count("1"), []).append(f)
+                by_size.setdefault(f.bit_count(), []).append(f)
             for k in by_size:
                 by_size[k].sort()
             self._faces_by_size = by_size
@@ -276,27 +287,19 @@ def reduced_cohomology(K: SimplicialComplex, coeffs: str = "Z") -> GradedHomolog
         if not A or not A[0]:
             rk[d] = 0
         elif coeffs == "Z":
-            rk[d] = rank_z(A)
+            # one Smith pass gives both the rank and the torsion of H^(d+1)
+            factors = invariant_factors(A)
+            rk[d] = len(factors)
+            tors = tuple(f for f in factors if f > 1)
+            if tors:
+                torsion[d + 1] = tors
         else:
-            rows_bits = []
-            for row in A:
-                b = 0
-                for j, a in enumerate(row):
-                    if a % 2:
-                        b |= 1 << j
-                rows_bits.append(b)
-            rk[d] = gf2_rank(rows_bits)
+            rk[d] = gf2_rank([gf2_vector(row) for row in A])
     for d in range(-1, top):
         dim_c = len(bases[d])
         r = dim_c - rk.get(d, 0) - rk.get(d - 1, 0)
         if r:
             ranks[d] = r
-        if coeffs == "Z" and d - 1 in mats:
-            A = mats[d - 1]
-            if A and A[0]:
-                tors = tuple(f for f in invariant_factors(A) if f > 1)
-                if tors:
-                    torsion[d] = tors
     return GradedHomology(coeffs=coeffs, ranks=ranks, torsion=torsion)
 
 

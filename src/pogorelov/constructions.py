@@ -154,15 +154,7 @@ def _cut_edge_run(P: SimplePolytope, f: int, run: tuple[int, ...]) -> SimplePoly
     # middle facets of the run trade their edge with f for one with g
     for x in run:
         rot[x] = [g if y == f else y for y in rot[x]]
-    # end facets gain an edge with g, inserted next to f on the run side
-    def insert_next_to_f(x, after: bool):
-        r = rot[x]
-        q = r.index(f)
-        if after:
-            r.insert(q + 1, g)
-        else:
-            r.insert(q, g)
-
+    # end facets gain an edge with g, inserted next to f on the run side;
     # orientation: in rot[prev_f] the run-side of f is the position where
     # run[0] sits adjacent to f; same for next_f with run[-1]
     for x, mate in ((prev_f, run[0]), (next_f, run[-1])):

@@ -22,41 +22,30 @@ from ._intlinalg import (
     ExactSolver,
     GF2Echelon,
     ZQuotient,
+    gf2_kernel,
     gf2_rank,
+    gf2_vector,
     kernel_basis,
     rank_z,
 )
-from .complex import SimplicialComplex, full_subcomplex, reduced_cohomology
+from .complex import (
+    SimplicialComplex,
+    _bits,
+    _mask,
+    _unmask,
+    full_subcomplex,
+    reduced_cohomology,
+)
+from .errors import InvariantViolation, SizeGuard
 from .polytope import SimplePolytope, dual_complex
 
 
-class InternalMismatch(RuntimeError):
+class InternalMismatch(InvariantViolation):
     """The two cohomology routes disagree; signals a bug, not a user error."""
-
-
-class SizeGuard(RuntimeError):
-    """Requested computation exceeds the configured desk-scale bounds."""
 
 
 _MAX_VERTICES_FULL = 20
 _MAX_TOTAL_DIM = 20000
-
-
-def _bits(mask: int):
-    v = 0
-    while mask:
-        if mask & 1:
-            yield v
-        mask >>= 1
-        v += 1
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
-def _vertices_of(mask: int) -> tuple[int, ...]:
-    return tuple(b + 1 for b in _bits(mask))
 
 
 @dataclass(frozen=True)
@@ -78,14 +67,14 @@ class KoszulMonomial:
 def _exterior_sign(jmask: int, j: int) -> int:
     """Sign (-1)^(r-1) for j at position r of the set jmask, increasing order."""
     below = jmask & ((1 << j) - 1)
-    return -1 if _popcount(below) % 2 else 1
+    return -1 if below.bit_count() % 2 else 1
 
 
 def _merge_sign(a: int, b: int) -> int:
     """Koszul sign reordering u_A u_B into u_{A|B}: count inversions."""
     inv = 0
     for y in _bits(b):
-        inv += _popcount(a >> (y + 1))
+        inv += (a >> (y + 1)).bit_count()
     return -1 if inv % 2 else 1
 
 
@@ -95,10 +84,10 @@ def r_basis(K: SimplicialComplex, J) -> dict[int, list[int]]:
     Level-p basis elements are faces L of K with L subset J, |L| = p; the
     monomial is u_{J\\L} v_L.  Faces are bitmasks sorted ascending.
     """
-    jmask = J if isinstance(J, int) else sum(1 << (v - 1) for v in J)
+    jmask = _mask(J)
     by_size = K.faces_by_size()
     out = {}
-    for p in range(_popcount(jmask) + 1):
+    for p in range(jmask.bit_count() + 1):
         lvl = [f for f in by_size.get(p, []) if f & ~jmask == 0]
         if lvl:
             out[p] = lvl
@@ -111,7 +100,7 @@ def r_differential(K: SimplicialComplex, J, p: int) -> list[list[int]]:
     d(u_{J'} v_I) = sum over j in J' with I+j a face of
     (-1)^(pos of j in J' - 1) u_{J'-j} v_{I+j}.
     """
-    jmask = J if isinstance(J, int) else sum(1 << (v - 1) for v in J)
+    jmask = _mask(J)
     basis = r_basis(K, jmask)
     lo = basis.get(p, [])
     hi = basis.get(p + 1, [])
@@ -143,11 +132,11 @@ class RComplex:
         self.K = K
 
     def basis(self, J) -> dict[int, list[KoszulMonomial]]:
-        jmask = J if isinstance(J, int) else sum(1 << (v - 1) for v in J)
+        jmask = _mask(J)
         out = {}
         for p, lvl in r_basis(self.K, jmask).items():
             out[p] = [
-                KoszulMonomial(J=_vertices_of(jmask & ~L), I=_vertices_of(L))
+                KoszulMonomial(J=_unmask(jmask & ~L), I=_unmask(L))
                 for L in lvl
             ]
         return out
@@ -157,7 +146,7 @@ class RComplex:
 
     def d(self, chain: dict, J) -> dict:
         """Apply d to a chain {face-mask: coeff} in multidegree J."""
-        jmask = J if isinstance(J, int) else sum(1 << (v - 1) for v in J)
+        jmask = _mask(J)
         out = {}
         for L, c in chain.items():
             jm = jmask & ~L
@@ -168,7 +157,7 @@ class RComplex:
         return {k: v for k, v in out.items() if v}
 
     def check_d_squared(self, J) -> bool:
-        jmask = J if isinstance(J, int) else sum(1 << (v - 1) for v in J)
+        jmask = _mask(J)
         for p, lvl in r_basis(self.K, jmask).items():
             for L in lvl:
                 dd = self.d(self.d({L: 1}, jmask), jmask)
@@ -213,11 +202,11 @@ class _PieceZ:
             reps.append(vec)
         self.reps = reps  # free representatives only
 
-    def project(self, vec) -> tuple[list[int], list[int]]:
-        """Coordinates (free, torsion) of a cocycle given over the basis."""
+    def project(self, chain: dict) -> tuple[list[int], list[int]]:
+        """Coordinates (free, torsion) of a cocycle given as {face mask: coeff}."""
         if self._solver is None:
             return [], []
-        c = self._solver.solve(vec)
+        c = self._solver.solve([chain.get(L, 0) for L in self.basis])
         return self._quo.coords(c)
 
 
@@ -227,15 +216,7 @@ class _PieceZ2:
     def __init__(self, basis, d_in_cols, d_out_cols):
         self.basis = basis
         self.torsion = ()
-        n = len(basis)
-        ech = GF2Echelon()
-        kernel = []
-        for j in range(n):
-            v, comb, _ = ech.reduce(d_out_cols[j], 1 << j)
-            if v == 0:
-                kernel.append(comb)
-            else:
-                ech.add(v, comb)
+        kernel = gf2_kernel(d_out_cols)
         # echelon of the kernel itself, tracking kernel-basis coordinates
         self._kernel_ech = GF2Echelon()
         for t, kv in enumerate(kernel):
@@ -243,7 +224,7 @@ class _PieceZ2:
         img = GF2Echelon()
         for col in d_in_cols:
             if col:
-                img.add(self._coords_of(col), 0)
+                img.add(self._coords_of(col))
         self._img_ech = img
         pivots = set(img.pivot_of)
         self._free_pos = [t for t in range(len(kernel)) if t not in pivots]
@@ -251,31 +232,15 @@ class _PieceZ2:
         self.reps = [kernel[t] for t in self._free_pos]
 
     def _coords_of(self, vec: int) -> int:
-        v = vec
-        coords = 0
-        while v:
-            b = v.bit_length() - 1
-            pv, pc = self._kernel_ech.pivot_of[b]
-            v ^= pv
-            coords ^= pc
+        v, coords, _ = self._kernel_ech.reduce(vec)
+        if v:
+            raise ValueError("not a cocycle")
         return coords
 
-    def project(self, vec: int) -> tuple[list[int], list[int]]:
-        coords = self._coords_of(vec)
+    def project(self, chain: dict) -> tuple[list[int], list[int]]:
+        coords = self._coords_of(gf2_vector(chain.get(L, 0) for L in self.basis))
         coords, _, _ = self._img_ech.reduce(coords)
         return [coords >> t & 1 for t in self._free_pos], []
-
-
-def _piece_vector(basis, chain: dict):
-    return [chain.get(L, 0) for L in basis]
-
-
-def _piece_bitvector(basis, chain: dict):
-    out = 0
-    for i, L in enumerate(basis):
-        if chain.get(L, 0) % 2:
-            out |= 1 << i
-    return out
 
 
 class Component:
@@ -315,7 +280,7 @@ class MultigradedCohomology:
     # -- component computation ------------------------------------------------
 
     def component(self, J) -> Component:
-        jmask = J if isinstance(J, int) else sum(1 << (v - 1) for v in J)
+        jmask = _mask(J)
         comp = self._components.get(jmask)
         if comp is None:
             comp = self._compute(jmask)
@@ -325,38 +290,20 @@ class MultigradedCohomology:
     def _compute(self, jmask: int) -> Component:
         K = self.K
         basis = r_basis(K, jmask)
-        size = _popcount(jmask)
+        size = jmask.bit_count()
         mats = {p: r_differential(K, jmask, p) for p in range(size + 1)}
         pieces = {}
         for p, lvl in basis.items():
             d_out = mats.get(p, [])
-            d_in_rows = mats.get(p - 1, [])
-            n_prev = len(basis.get(p - 1, []))
-            d_in_cols = (
-                [[d_in_rows[r][c] for r in range(len(lvl))] for c in range(n_prev)]
-                if n_prev
-                else []
-            )
+            d_in_cols = [list(col) for col in zip(*mats.get(p - 1, []))]
             if self.coeffs == "Z":
                 piece = _PieceZ(lvl, d_in_cols, d_out if d_out and d_out[0] else [])
             else:
-                n = len(lvl)
-                hi = basis.get(p + 1, [])
-                out_cols = [0] * n
                 if d_out and d_out[0]:
-                    for c in range(n):
-                        bits = 0
-                        for r in range(len(hi)):
-                            if d_out[r][c] % 2:
-                                bits |= 1 << r
-                        out_cols[c] = bits
-                in_cols = []
-                for col in d_in_cols:
-                    bits = 0
-                    for i, a in enumerate(col):
-                        if a % 2:
-                            bits |= 1 << i
-                    in_cols.append(bits)
+                    out_cols = [gf2_vector(col) for col in zip(*d_out)]
+                else:
+                    out_cols = [0] * len(lvl)
+                in_cols = [gf2_vector(col) for col in d_in_cols]
                 piece = _PieceZ2(lvl, in_cols, out_cols)
             pieces[p] = piece  # zero pieces kept: projections still need them
         comp = Component(jmask, pieces)
@@ -364,15 +311,15 @@ class MultigradedCohomology:
         return comp
 
     def _crosscheck(self, jmask: int, comp: Component) -> None:
-        sub = full_subcomplex(self.K, _vertices_of(jmask))
+        sub = full_subcomplex(self.K, _unmask(jmask))
         h = reduced_cohomology(sub, self.coeffs)
-        size = _popcount(jmask)
+        size = jmask.bit_count()
         for p in range(size + 1):
             want_rank = h.rank(p - 1)
             want_tors = h.torsion_at(p - 1)
             if comp.rank(p) != want_rank or comp.torsion(p) != want_tors:
                 raise InternalMismatch(
-                    f"multidegree {_vertices_of(jmask)} level {p}: "
+                    f"multidegree {_unmask(jmask)} level {p}: "
                     f"model gives ({comp.rank(p)}, {comp.torsion(p)}), "
                     f"subcomplex gives ({want_rank}, {want_tors})"
                 )
@@ -398,7 +345,7 @@ class MultigradedCohomology:
         self.compute_all()
         out = {}
         for jmask, comp in self._components.items():
-            size = _popcount(jmask)
+            size = jmask.bit_count()
             for p, piece in comp.pieces.items():
                 if piece.rank:
                     out[size + p] = out.get(size + p, 0) + piece.rank
@@ -424,7 +371,7 @@ class MultigradedCohomology:
         self.compute_all()
         out = {}
         for jmask, comp in self._components.items():
-            size = _popcount(jmask)
+            size = jmask.bit_count()
             for p, piece in comp.pieces.items():
                 if piece.torsion:
                     out.setdefault(size + p, []).extend(piece.torsion)
@@ -433,7 +380,7 @@ class MultigradedCohomology:
     # -- classes ---------------------------------------------------------------
 
     def class_element(self, J, p: int, index: int = 0) -> "RingElement":
-        jmask = J if isinstance(J, int) else sum(1 << (v - 1) for v in J)
+        jmask = _mask(J)
         comp = self.component(jmask)
         if comp.rank(p) <= index:
             raise IndexError("no such basis class")
@@ -444,14 +391,14 @@ class MultigradedCohomology:
 
     def from_chain(self, J, chain) -> "RingElement":
         """Class of a cocycle; chain maps face tuples (or masks) to coeffs."""
-        jmask = J if isinstance(J, int) else sum(1 << (v - 1) for v in J)
+        jmask = _mask(J)
         norm = {}
         for key, c in chain.items():
-            L = key if isinstance(key, int) else sum(1 << (v - 1) for v in key)
+            L = _mask(key)
             norm[L] = norm.get(L, 0) + c
         p = None
         for L in norm:
-            lp = _popcount(L)
+            lp = L.bit_count()
             if p is None:
                 p = lp
             elif p != lp:
@@ -460,10 +407,7 @@ class MultigradedCohomology:
         piece = comp.pieces.get(p)
         if piece is None:
             raise ValueError("no such component level")
-        if self.coeffs == "Z":
-            free, tors = piece.project(_piece_vector(piece.basis, norm))
-        else:
-            free, tors = piece.project(_piece_bitvector(piece.basis, norm))
+        free, tors = piece.project(norm)
         if any(tors):
             raise ValueError("chain represents a torsion class; not a basis combination")
         terms = {(jmask, p, i): c for i, c in enumerate(free) if c}
@@ -490,7 +434,7 @@ class RingElement:
         return not self.terms
 
     def degrees(self) -> set[int]:
-        return {_popcount(jm) + p for (jm, p, _) in self.terms}
+        return {jm.bit_count() + p for (jm, p, _) in self.terms}
 
     def __add__(self, other):
         if other.cohom is not self.cohom:
@@ -543,7 +487,7 @@ class RingElement:
             for L, c in sorted(chain.items()):
                 if c:
                     out.append(
-                        (c, KoszulMonomial(J=_vertices_of(jm & ~L), I=_vertices_of(L)))
+                        (c, KoszulMonomial(J=_unmask(jm & ~L), I=_unmask(L)))
                     )
         return out
 
@@ -581,10 +525,7 @@ def cup_product(a: RingElement, b: RingElement) -> RingElement:
         piece = cohom.component(jm).pieces.get(p)
         if piece is None or (piece.rank == 0 and not piece.torsion):
             continue
-        if cohom.coeffs == "Z":
-            free, tors = piece.project(_piece_vector(piece.basis, chain))
-        else:
-            free, tors = piece.project(_piece_bitvector(piece.basis, chain))
+        free, tors = piece.project(chain)
         if any(tors):
             raise InternalMismatch("product landed on a torsion class; unsupported basis")
         for i, c in enumerate(free):
@@ -657,7 +598,7 @@ def decomposability_report(
     cache: dict[int, Component] = cohom._components
     for jmask in sorted(cache):
         comp = cache[jmask]
-        size = _popcount(jmask)
+        size = jmask.bit_count()
         if size == 0:
             continue
         for p, piece in comp.pieces.items():
@@ -670,7 +611,7 @@ def decomposability_report(
                 continue
             # span of products of positive-degree classes landing here
             vectors = []
-            anchor = 1 << next(_bits(jmask))
+            anchor = jmask & -jmask
             for sub in _submasks(jmask):
                 if sub == 0 or sub == jmask or not sub & anchor:
                     continue
@@ -694,16 +635,9 @@ def decomposability_report(
                             if any(vec):
                                 vectors.append(vec)
             if coeffs == "q":
-                span = rank_z(vectors) if vectors else 0
+                span = rank_z(vectors)
             else:
-                rows = []
-                for vec in vectors:
-                    bits = 0
-                    for i, c in enumerate(vec):
-                        if c % 2:
-                            bits |= 1 << i
-                    rows.append(bits)
-                span = gf2_rank(rows)
+                span = gf2_rank([gf2_vector(vec) for vec in vectors])
             coker = piece.rank - span
             if coker:
                 report[ell] = report.get(ell, 0) + coker
@@ -781,19 +715,15 @@ def annihilator_dim(
     for group in groups.values():
         rows = sorted({t for _, tgts in group for t in tgts})
         row_idx = {t: i for i, t in enumerate(rows)}
+        # the block's columns, taken as rows: a transpose has the same rank
+        cols = []
+        for _, tgts in group:
+            col = [0] * len(rows)
+            for t, c in tgts.items():
+                col[row_idx[t]] = c
+            cols.append(col)
         if coeffs == "z2":
-            cols = []
-            for _, tgts in group:
-                bits = 0
-                for t, c in tgts.items():
-                    if c % 2:
-                        bits |= 1 << row_idx[t]
-                cols.append(bits)
-            rank_total += gf2_rank(cols)
+            rank_total += gf2_rank([gf2_vector(col) for col in cols])
         else:
-            mat = [[0] * len(group) for _ in rows]
-            for cidx, (_, tgts) in enumerate(group):
-                for t, c in tgts.items():
-                    mat[row_idx[t]][cidx] = c
-            rank_total += rank_z(mat)
+            rank_total += rank_z(cols)
     return total - rank_total

@@ -15,18 +15,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ._intlinalg import ZQuotient
+from ._intlinalg import GF2Echelon, ZQuotient, gf2_vector
 from .belts import is_pogorelov
 from .characteristic import (
     CharMatrix,
     NotCharacteristic,
     PairEquivalence,
+    _det,
+    _mat_inverse,
     is_characteristic,
-    lift_mod2,
     pairs_equivalent,
-    _mat_inverse_unimodular,
 )
-from .polytope import InvariantViolation, Polygon, SimplePolytope
+from .errors import InvariantViolation
+from .polytope import SimplePolytope
 
 
 class ModeUnsupported(ValueError):
@@ -53,15 +54,6 @@ def _face_supported_monomials(P, n):
     return out
 
 
-def _support_is_face(P, mono) -> bool:
-    supp = tuple(sorted(set(mono)))
-    if len(supp) == 1:
-        return True
-    if len(supp) == 2:
-        return P.adjacent(*supp)
-    return frozenset(supp) in {frozenset(v) for v in P.vertex_tuples}
-
-
 class _TopForm:
     """The functional H^(2n) = Z (or Z2): value of each degree-n monomial."""
 
@@ -69,7 +61,6 @@ class _TopForm:
         n = P.n
         monos = _face_supported_monomials(P, n)
         index = {mo: i for i, mo in enumerate(monos)}
-        vert_set = {frozenset(v) for v in P.vertex_tuples}
         relations = []
         if n == 2:
             lower = [(i,) for i in range(1, P.m + 1)]
@@ -108,35 +99,17 @@ class _TopForm:
             self.value = {mo: unit * v for mo, v in raw.items()}
         else:
             # GF(2): quotient by the span of the relations
-            rows_bits = []
+            ech = GF2Echelon()
             for rel in relations:
-                bits = 0
-                for i, a in enumerate(rel):
-                    if a % 2:
-                        bits |= 1 << i
-                rows_bits.append(bits)
-            pivots = {}
-            for v in rows_bits:
-                while v:
-                    b = v.bit_length() - 1
-                    if b in pivots:
-                        v ^= pivots[b]
-                    else:
-                        pivots[b] = v
-                        break
-            if len(monos) - len(pivots) != 1:
+                ech.add(gf2_vector(rel))
+            if len(monos) - ech.count != 1:
                 raise NotCharacteristic(
                     "Z2 top cohomology does not have dimension 1"
                 )
-            self.value = {}
-            for pos, mo in enumerate(monos):
-                v = 1 << pos
-                while v:
-                    b = v.bit_length() - 1
-                    if b not in pivots:
-                        break
-                    v ^= pivots[b]
-                self.value[mo] = 1 if v else 0
+            # with a one-dimensional quotient a monomial is 0 or the generator
+            self.value = {
+                mo: 1 if ech.reduce(1 << pos)[0] else 0 for pos, mo in enumerate(monos)
+            }
             base = tuple(sorted(min(P.vertex_tuples)))
             if self.value[base] != 1:
                 raise InvariantViolation("base vertex vanishes in Z2 top cohomology")
@@ -154,8 +127,6 @@ class _TopForm:
 
 def _oriented_det_sign(P, L: CharMatrix, vert) -> int:
     """det of the columns in the positive cyclic order of the vertex."""
-    from .characteristic import _det
-
     order = P.oriented_vertex(vert)
     return _det([L.column(i) for i in order])
 
@@ -225,17 +196,9 @@ def _expressions(P, L: CharMatrix):
     n = P.n
     base = tuple(sorted(min(P.vertex_tuples)))
     basis = tuple(i for i in range(1, P.m + 1) if i not in base)
-    base_cols = [L.column(i) for i in base]
-    if L.ring == "Z":
-        inv = _mat_inverse_unimodular(base_cols)
-        if inv is None:
-            raise NotCharacteristic("base vertex minor is not unimodular")
-    else:
-        from .characteristic import _gf2_inverse
-
-        inv = _gf2_inverse(base_cols)
-        if inv is None:
-            raise NotCharacteristic("base vertex minor is singular mod 2")
+    inv = _mat_inverse([L.column(i) for i in base], L.ring)
+    if inv is None:
+        raise NotCharacteristic(f"base vertex minor is not invertible over {L.ring}")
     exprs = {}
     for t, i in enumerate(basis):
         vec = [0] * len(basis)
@@ -323,7 +286,9 @@ def _eval_match_witness(R1: QTRingPresentation, R2: QTRingPresentation, sigma):
     None.  Linear system over GF(2) on the sign bits."""
     m = R1.m
     monos = _face_supported_monomials(R1.P, R1.n)
-    rows = []  # (bitmask over x_1..x_m, d, rhs)
+    # unknowns: bit i-1 is set when eps_i = -1 and bit m when delta = -1; each
+    # equation's right-hand side is the combination tracked by the echelon
+    ech = GF2Echelon()
     for mo in monos:
         v1 = R1.top(mo)
         target = tuple(sorted(sigma[i] for i in mo))
@@ -336,40 +301,19 @@ def _eval_match_witness(R1: QTRingPresentation, R2: QTRingPresentation, sigma):
             return None
         if v1 == 0:
             continue
-        bits = 0
-        for i in set(mo):
-            if mo.count(i) % 2:
-                bits |= 1 << (i - 1)
-        rhs = 0 if v1 == v2 else 1
-        rows.append((bits, 1, rhs))
+        bits = 1 << m
+        for i in mo:
+            bits ^= 1 << (i - 1)
+        v, rhs, _ = ech.reduce(bits, 0 if v1 == v2 else 1)
+        if v:
+            ech.add(v, rhs)
+        elif rhs:  # 0 = 1: inconsistent
+            return None
     if R1.ring == "Z2":
         return GeneratorWitness(sigma=dict(sigma), eps=(1,) * m, delta=1)
-    # solve the GF(2) system: x-bits plus the delta bit
-    pivots = {}
-    for bits, dbit, rhs in rows:
-        v = bits | (dbit << m) | (rhs << (m + 1))
-        while v & ((1 << (m + 1)) - 1):
-            b = (v & ((1 << (m + 1)) - 1)).bit_length() - 1
-            if b in pivots:
-                v ^= pivots[b]
-            else:
-                pivots[b] = v
-                break
-        else:
-            if v:  # 0 = 1: inconsistent
-                return None
-    # pivot rows have their key as the top variable bit, so lower bits are
-    # either earlier pivots or free variables (taken as 0): solve ascending
-    x = [0] * (m + 1)
-    for b in sorted(pivots):
-        v = pivots[b]
-        acc = v >> (m + 1) & 1
-        for c in range(b):
-            if v >> c & 1:
-                acc ^= x[c]
-        x[b] = acc
-    eps = tuple(-1 if x[i - 1] else 1 for i in range(1, m + 1))
-    delta = -1 if x[m] else 1
+    x = ech.solve()
+    eps = tuple(-1 if x >> (i - 1) & 1 else 1 for i in range(1, m + 1))
+    delta = -1 if x >> m & 1 else 1
     # defensive re-check of every monomial
     for mo in monos:
         v1 = R1.top(mo)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, _mask
+from .errors import InvariantViolation
 
 
 class PolytopeError(ValueError):
@@ -30,10 +31,6 @@ class NotSphere(PolytopeError):
 
 class BadIntersection(PolytopeError):
     condition = "bad-intersection"
-
-
-class InvariantViolation(RuntimeError):
-    """Internal inconsistency (a bug upstream, not a user error)."""
 
 
 class SimplePolytope:
@@ -74,11 +71,7 @@ class SimplePolytope:
 
     def adjacency(self) -> list[int]:
         if self._adj is None:
-            adj = [0] * (self.m + 1)
-            for i in range(1, self.m + 1):
-                for j in self.rotations[i - 1]:
-                    adj[i] |= 1 << (j - 1)
-            self._adj = adj
+            self._adj = [0] + [_mask(rot) for rot in self.rotations]
         return self._adj
 
     def adjacent(self, i: int, j: int) -> bool:

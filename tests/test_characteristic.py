@@ -124,6 +124,17 @@ def test_pairs_equivalent_reflexive_symmetric():
     assert pairs_equivalent(P2, L2, Q6, L) is not None
 
 
+def test_pairs_equivalent_raises_when_witness_fails_its_check(monkeypatch):
+    from pogorelov.characteristic import PairEquivalence
+    from pogorelov.errors import InvariantViolation
+
+    cube = catalog("cube")
+    L = colouring_to_matrix(enumerate_colourings(cube)[0])
+    monkeypatch.setattr(PairEquivalence, "check", lambda self, L, L2: False)
+    with pytest.raises(InvariantViolation):
+        pairs_equivalent(cube, L, cube, L)
+
+
 def test_hirzebruch_k2_vs_k4_not_equivalent():
     quad = polygon(4)
     assert pairs_equivalent(quad, _hirzebruch(2), quad, _hirzebruch(4)) is None

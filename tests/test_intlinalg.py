@@ -1,0 +1,158 @@
+import itertools
+import random
+
+from pogorelov._intlinalg import GF2Echelon, gf2_kernel, gf2_rank, gf2_vector
+from pogorelov.characteristic import _det, _mat_inverse
+
+
+def _span(rows):
+    """All XOR combinations of rows (brute force over subsets)."""
+    out = {0}
+    for v in rows:
+        out |= {s ^ v for s in out}
+    return out
+
+
+def _parity(v: int) -> int:
+    return v.bit_count() & 1
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _rows_of(cols):
+    n = len(cols)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_gf2_vector_packs_parities():
+    assert gf2_vector([]) == 0
+    assert gf2_vector([1, 0, -1, 2, 3, -4]) == 0b10101
+    assert gf2_vector(iter([0, 0, 7])) == 0b100
+
+
+def test_gf2_rank_matches_span_size():
+    rng = random.Random(11)
+    for _ in range(400):
+        width = rng.randint(1, 7)
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 7))]
+        span = len(_span(rows))
+        assert 1 << gf2_rank(rows) == span
+
+
+def test_gf2_kernel_vectors_map_to_zero():
+    rng = random.Random(12)
+    for _ in range(300):
+        height = rng.randint(1, 7)
+        columns = [rng.getrandbits(height) for _ in range(rng.randint(0, 9))]
+        kernel = gf2_kernel(columns)
+        assert len(kernel) == len(columns) - gf2_rank(columns)
+        assert gf2_rank(kernel) == len(kernel)
+        for k in kernel:
+            image = 0
+            for j, col in enumerate(columns):
+                if k >> j & 1:
+                    image ^= col
+            assert image == 0
+
+
+def _load(equations):
+    """Echelon of equations (v, rhs); False when some equation reduced to 0 = 1."""
+    ech = GF2Echelon()
+    for v, rhs in equations:
+        v, rhs, _ = ech.reduce(v, rhs)
+        if v:
+            ech.add(v, rhs)
+        elif rhs:
+            return ech, False
+    return ech, True
+
+
+def test_gf2_solve_satisfies_consistent_systems():
+    rng = random.Random(13)
+    for _ in range(300):
+        nvars = rng.randint(1, 10)
+        x0 = rng.getrandbits(nvars)
+        equations = []
+        for _ in range(rng.randint(0, 12)):
+            v = rng.getrandbits(nvars)
+            equations.append((v, _parity(v & x0)))
+        ech, consistent = _load(equations)
+        assert consistent
+        x = ech.solve()
+        assert x < 1 << nvars
+        for v, rhs in equations:
+            assert _parity(v & x) == rhs
+
+
+def test_gf2_solve_sets_free_variables_to_zero():
+    # x0 + x2 = 1 with x1 free: pivot x2, so x = (0, 0, 1)
+    ech, consistent = _load([(0b101, 1)])
+    assert consistent
+    assert ech.solve() == 0b100
+
+
+def test_gf2_inconsistent_system_detected():
+    rng = random.Random(14)
+    for _ in range(200):
+        nvars = rng.randint(1, 8)
+        rows = [rng.getrandbits(nvars) | 1 for _ in range(rng.randint(1, 6))]
+        equations = [(v, rng.getrandbits(1)) for v in rows]
+        # the XOR of some equations, with its right-hand side flipped
+        picked = [e for e in equations if rng.getrandbits(1)] or equations[:1]
+        v = rhs = 0
+        for pv, pr in picked:
+            v ^= pv
+            rhs ^= pr
+        ech, consistent = _load(equations + [(v, rhs ^ 1)])
+        assert not consistent
+
+
+def test_mat_inverse_z2_on_all_3x3_binary_matrices():
+    invertible = 0
+    for entries in itertools.product((0, 1), repeat=9):
+        cols = [entries[0:3], entries[3:6], entries[6:9]]
+        inv = _mat_inverse(cols, "Z2")
+        if _det(cols) % 2:
+            invertible += 1
+            prod = _mat_mul(_rows_of(cols), inv)
+            assert [[a % 2 for a in row] for row in prod] == _identity(3)
+            assert all(a in (0, 1) for row in inv for a in row)
+        else:
+            assert inv is None
+    assert invertible == 168  # |GL(3, Z2)|
+
+
+def _signed_permutation_times_shears(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    A = [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 4)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+    return A
+
+
+def test_mat_inverse_z_exact_on_unimodular_matrices():
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.choice((2, 3))
+        rows = _signed_permutation_times_shears(rng, n)
+        cols = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
+        inv = _mat_inverse(cols, "Z")
+        assert _mat_mul(rows, inv) == _identity(n)
+        assert _mat_mul(inv, rows) == _identity(n)
+
+
+def test_mat_inverse_z_rejects_non_unimodular():
+    assert _mat_inverse([(2, 0, 0), (0, 1, 0), (0, 0, 1)], "Z") is None
+    assert _mat_inverse([(1, 1), (1, -1)], "Z") is None
+    # the same det-(-2) matrix is singular mod 2 as well
+    assert _mat_inverse([(1, 1), (1, -1)], "Z2") is None
