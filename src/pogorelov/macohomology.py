@@ -101,7 +101,11 @@ def r_differential(K: SimplicialComplex, J, p: int) -> list[list[int]]:
     (-1)^(pos of j in J' - 1) u_{J'-j} v_{I+j}.
     """
     jmask = _mask(J)
-    basis = r_basis(K, jmask)
+    return _r_matrix(r_basis(K, jmask), jmask, p)
+
+
+def _r_matrix(basis: dict[int, list[int]], jmask: int, p: int) -> list[list[int]]:
+    """``r_differential`` on a basis already built by ``r_basis``."""
     lo = basis.get(p, [])
     hi = basis.get(p + 1, [])
     index = {f: i for i, f in enumerate(hi)}
@@ -291,7 +295,7 @@ class MultigradedCohomology:
         K = self.K
         basis = r_basis(K, jmask)
         size = jmask.bit_count()
-        mats = {p: r_differential(K, jmask, p) for p in range(size + 1)}
+        mats = {p: _r_matrix(basis, jmask, p) for p in range(size + 1)}
         pieces = {}
         for p, lvl in basis.items():
             d_out = mats.get(p, [])

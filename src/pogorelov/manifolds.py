@@ -3,8 +3,12 @@ and small covers, plus the ring-isomorphism decisions.
 
 A ring is presented by evaluation data: the value of every product of n
 degree-two generator classes against the fundamental class, computed exactly
-in the quotient ring Z[v_1..v_m]/I by integer normal form.  The orientation
-convention is that the lexicographically least vertex evaluates to +1.
+in the quotient ring Z[v_1..v_m]/I.  The linear relations are the rows of L
+normalised by the inverse of its base-vertex minor (the same row span, with
+unit columns at the base vertex), and the top form is the free row of the
+left Smith factor of the degree-n relation matrix.  The orientation
+convention is that the lexicographically least vertex (the base vertex)
+evaluates to +1.
 Products with repeated generators are part of the data, so a match of two
 presentations under a facet bijection and sign pattern is exactly a ring
 isomorphism sending generators to signed generators.
@@ -55,9 +59,19 @@ def _face_supported_monomials(P, n):
 
 
 class _TopForm:
-    """The functional H^(2n) = Z (or Z2): value of each degree-n monomial."""
+    """The functional H^(2n) = Z (or Z2): value of each degree-n monomial.
 
-    def __init__(self, P, L: CharMatrix):
+    ``rows`` are the rows of L normalised by the base vertex (see
+    ``_normalised_rows``).  The relations are the products of each row's
+    linear form with the degree-(n-1) face-supported monomials; they span the
+    same lattice as those of L, since the ideal depends only on the row span,
+    but the unit base-vertex columns keep the coefficients of the integer
+    Smith form small whatever unimodular change L's rows went through.  Over
+    Z the quotient of the face-supported monomials by the relations is
+    infinite cyclic, and the value of the monomial at position ``pos`` is the
+    entry at ``pos`` of the free row of the left Smith factor."""
+
+    def __init__(self, P, rows, ring: str):
         n = P.n
         monos = _face_supported_monomials(P, n)
         index = {mo: i for i, mo in enumerate(monos)}
@@ -70,7 +84,7 @@ class _TopForm:
                 for i, j in itertools.combinations(range(1, P.m + 1), 2)
                 if P.adjacent(i, j)
             ]
-        for row in L.rows:
+        for row in rows:
             for T in lower:
                 rel = [0] * len(monos)
                 touched = False
@@ -85,18 +99,18 @@ class _TopForm:
                         touched = True
                 if touched and any(rel):
                     relations.append(rel)
-        if L.ring == "Z":
+        base = tuple(sorted(min(P.vertex_tuples)))
+        if ring == "Z":
             quo = ZQuotient(len(monos), relations)
             if quo.rank != 1 or quo.torsion:
                 raise NotCharacteristic(
                     "top cohomology is not infinite cyclic; matrix is not characteristic"
                 )
-            base = min(P.vertex_tuples)
-            raw = {mo: quo.coords([int(x == mo) for x in monos])[0][0] for mo in monos}
-            unit = raw[tuple(sorted(base))]
+            free_row = quo.S[quo.free_idx[0]]
+            unit = free_row[index[base]]
             if unit not in (1, -1):
                 raise InvariantViolation("base vertex does not generate the top group")
-            self.value = {mo: unit * v for mo, v in raw.items()}
+            self.value = {mo: unit * free_row[pos] for pos, mo in enumerate(monos)}
         else:
             # GF(2): quotient by the span of the relations
             ech = GF2Echelon()
@@ -110,13 +124,12 @@ class _TopForm:
             self.value = {
                 mo: 1 if ech.reduce(1 << pos)[0] else 0 for pos, mo in enumerate(monos)
             }
-            base = tuple(sorted(min(P.vertex_tuples)))
             if self.value[base] != 1:
                 raise InvariantViolation("base vertex vanishes in Z2 top cohomology")
         for vert in P.vertex_tuples:
             mo = tuple(sorted(vert))
             val = self.value[mo]
-            good = val in (1, -1) if L.ring == "Z" else val == 1
+            good = val in (1, -1) if ring == "Z" else val == 1
             if not good:
                 raise InvariantViolation(f"vertex {vert} does not evaluate to a unit")
 
@@ -192,28 +205,41 @@ class SmallCoverRing(QTRingPresentation):
     the quasitoric ring with the grading halved (deg v_i = 1)."""
 
 
-def _expressions(P, L: CharMatrix):
-    n = P.n
+def _normalised_rows(P, L: CharMatrix):
+    """(base vertex, rows of inv * L), inv the inverse over L.ring of the
+    base-vertex columns of L (sorted facet order).
+
+    The rows span the same lattice as the rows of L, so they present the same
+    ring, and a unimodular change of L's rows cancels out; the base-vertex
+    columns become the unit vectors."""
     base = tuple(sorted(min(P.vertex_tuples)))
-    basis = tuple(i for i in range(1, P.m + 1) if i not in base)
     inv = _mat_inverse([L.column(i) for i in base], L.ring)
     if inv is None:
         raise NotCharacteristic(f"base vertex minor is not invertible over {L.ring}")
+    rows = tuple(
+        tuple(sum(a * b for a, b in zip(inv_row, L.column(i))) for i in range(1, P.m + 1))
+        for inv_row in inv
+    )
+    if L.ring == "Z2":
+        rows = tuple(tuple(a % 2 for a in row) for row in rows)
+    return base, rows
+
+
+def _expressions(P, base, rows, ring: str):
+    """Each facet class over the basis facets (those off the base vertex).
+
+    Row s of the normalised matrix reads v_base[s] + sum_i rows[s][i] v_i = 0,
+    so v_base[s] = -sum over the basis facets of rows[s][i] v_i."""
+    basis = tuple(i for i in range(1, P.m + 1) if i not in base)
     exprs = {}
     for t, i in enumerate(basis):
         vec = [0] * len(basis)
         vec[t] = 1
         exprs[i] = tuple(vec)
-    # rows of L give sum_i L[r][i] v_i = 0; solving for the base classes:
-    # v_base = -inv * L_rest * v_rest
     for s, b in enumerate(base):
-        vec = []
-        for t, i in enumerate(basis):
-            col = L.column(i)
-            val = -sum(inv[s][r] * col[r] for r in range(n))
-            vec.append(val % 2 if L.ring == "Z2" else val)
-        exprs[b] = tuple(vec)
-    return base, basis, exprs
+        vec = [-rows[s][i - 1] for i in basis]
+        exprs[b] = tuple(a % 2 for a in vec) if ring == "Z2" else tuple(vec)
+    return basis, exprs
 
 
 def qt_ring(P, L: CharMatrix) -> QTRingPresentation:
@@ -223,10 +249,11 @@ def qt_ring(P, L: CharMatrix) -> QTRingPresentation:
     ok, vert = is_characteristic(P, L)
     if not ok:
         raise NotCharacteristic(f"matrix fails the vertex condition at {vert}")
-    base, basis, exprs = _expressions(P, L)
+    base, rows = _normalised_rows(P, L)
+    basis, exprs = _expressions(P, base, rows, L.ring)
     ring = QTRingPresentation(
         P=P, L=L, base_vertex=base, basis_facets=basis, expressions=exprs,
-        top=_TopForm(P, L),
+        top=_TopForm(P, rows, L.ring),
     )
     _check_evaluations(ring)
     return ring
@@ -239,16 +266,19 @@ def sc_ring(P, L2: CharMatrix) -> SmallCoverRing:
     ok, vert = is_characteristic(P, L2)
     if not ok:
         raise NotCharacteristic(f"matrix fails the vertex condition at {vert}")
-    base, basis, exprs = _expressions(P, L2)
+    base, rows = _normalised_rows(P, L2)
+    basis, exprs = _expressions(P, base, rows, L2.ring)
     return SmallCoverRing(
         P=P, L=L2, base_vertex=base, basis_facets=basis, expressions=exprs,
-        top=_TopForm(P, L2),
+        top=_TopForm(P, rows, L2.ring),
     )
 
 
 def _check_evaluations(ring: QTRingPresentation) -> None:
     """Distinct n-tuples evaluate to 0 off vertices and to the oriented
-    determinant sign at vertices (relative to the base normalization)."""
+    determinant sign at vertices (relative to the base normalization).  The
+    signs come from the caller's L, not the normalised rows the top form was
+    built from, so the check stays independent of that construction."""
     P, L = ring.P, ring.L
     if L.ring != "Z":
         return

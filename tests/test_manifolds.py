@@ -1,10 +1,12 @@
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 import pytest
+from test_characteristic import _scramble
 
-from pogorelov._intlinalg import xgcd
+from pogorelov._intlinalg import GF2Echelon, ZQuotient, gf2_vector, xgcd
 from pogorelov.characteristic import (
     CharMatrix,
     NotCharacteristic,
@@ -15,6 +17,7 @@ from pogorelov.characteristic import (
 from pogorelov.manifolds import (
     IsoDecision,
     ModeUnsupported,
+    _face_supported_monomials,
     pontryagin_w,
     qt_ring,
     ring_isomorphic,
@@ -314,3 +317,84 @@ def test_sc_isomorphic_distinct_classes_barrel6():
         for mode in ("pair-equivalence", "generator-restricted"):
             assert not sc_isomorphic(rings[a], rings[b], mode).isomorphic
     assert sc_isomorphic(rings[0], rings[0]).isomorphic
+
+
+def _shear_scramble(L, rng):
+    """Act on the rows of L by a signed permutation and three +-1 shears, and
+    flip column signs."""
+    n = L.n
+    perm = rng.sample(range(n), n)
+    A = [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        for t in range(n):
+            A[i][t] += c * A[j][t]
+    signs = [rng.choice((1, -1)) for _ in range(L.m)]
+    return CharMatrix(
+        n=n,
+        rows=tuple(
+            tuple(signs[i] * sum(A[r][s] * L.rows[s][i] for s in range(n)) for i in range(L.m))
+            for r in range(n)
+        ),
+        ring=L.ring,
+    )
+
+
+def _reference_top_values(P, L):
+    """Top-form values from the definition: the face-supported degree-3
+    monomials modulo the products of L's raw rows with every degree-2
+    monomial, each unit vector projected to the free coordinate and
+    normalised so the base vertex evaluates to 1."""
+    monos = _face_supported_monomials(P, 3)
+    index = {mo: i for i, mo in enumerate(monos)}
+    relations = []
+    for row in L.rows:
+        for T in itertools.combinations_with_replacement(range(1, P.m + 1), 2):
+            rel = [0] * len(monos)
+            for i in range(1, P.m + 1):
+                pos = index.get(tuple(sorted(T + (i,))))
+                if pos is not None:
+                    rel[pos] += row[i - 1]
+            if any(rel):
+                relations.append(rel)
+    base = index[tuple(sorted(min(P.vertex_tuples)))]
+    if L.ring == "Z2":
+        ech = GF2Echelon()
+        for rel in relations:
+            ech.add(gf2_vector(rel))
+        return {mo: int(ech.reduce(1 << pos)[0] != 0) for pos, mo in enumerate(monos)}
+    quo = ZQuotient(len(monos), relations)
+    raw = [quo.coords([int(i == pos) for i in range(len(monos))])[0][0] for pos in range(len(monos))]
+    return {mo: raw[base] * raw[pos] for pos, mo in enumerate(monos)}
+
+
+def test_top_form_matches_its_definition():
+    rng = random.Random(31)
+    for P in (catalog("cube"), catalog("prism", 6), catalog("dodecahedron")):
+        L = colouring_to_matrix(rng.choice(enumerate_colourings(P)))
+        for M in [L] + [_shear_scramble(L, rng) for _ in range(3)]:
+            assert qt_ring(P, M).top.value == _reference_top_values(P, M)
+            M2 = M.reduce_mod2()
+            assert sc_ring(P, M2).top.value == _reference_top_values(P, M2)
+
+
+def test_qt_ring_on_scrambled_dodecahedron_finishes():
+    # the six +-1/+-2 shears drawn from this seed give entries up to 17;
+    # relations built from those raw rows make the integer Smith form behind
+    # qt_ring grow its coefficients without bound
+    D = catalog("dodecahedron")
+    L = colouring_to_matrix(enumerate_colourings(D)[0])
+    P2, L2 = _scramble(D, L, random.Random(125))
+
+    def give_up(signum, frame):
+        raise TimeoutError("qt_ring on a scrambled dodecahedron matrix ran past 20 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(20)
+    try:
+        R2 = qt_ring(P2, L2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert ring_isomorphic(qt_ring(D, L), R2, "generator-restricted").isomorphic
