@@ -47,24 +47,26 @@ def _pick_pivot(D, k, nrows, ncols):
     return best[1], best[2]
 
 
-def diagonalize(A, track_left=False, track_right=False):
+def diagonalize(A, track_left=False, track_right=False, track_inverse=False):
     """Bring a copy of A to diagonal form D = S*A*T by row/column operations.
 
     Returns (D, S, Sinv, T) where the tracked factors are None unless
-    requested.  D is not put into divisibility-normalized Smith form; use
+    requested: S with track_left, its inverse Sinv with track_inverse, T with
+    track_right.  D is not put into divisibility-normalized Smith form; use
     invariant_factors for that.
     """
     D = [row[:] for row in A]
     nrows = len(D)
     ncols = len(D[0]) if nrows else 0
     S = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if track_left else None
-    Sinv = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if track_left else None
+    Sinv = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if track_inverse else None
     T = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if track_right else None
 
     def row_swap(i, j):
         D[i], D[j] = D[j], D[i]
         if track_left:
             S[i], S[j] = S[j], S[i]
+        if track_inverse:
             for r in Sinv:
                 r[i], r[j] = r[j], r[i]
 
@@ -77,6 +79,7 @@ def diagonalize(A, track_left=False, track_right=False):
             Si, Sj = S[i], S[j]
             for c in range(nrows):
                 Si[c] += q * Sj[c]
+        if track_inverse:
             for r in Sinv:
                 r[j] -= q * r[i]
 
@@ -84,6 +87,7 @@ def diagonalize(A, track_left=False, track_right=False):
         D[i] = [-x for x in D[i]]
         if track_left:
             S[i] = [-x for x in S[i]]
+        if track_inverse:
             for r in Sinv:
                 r[i] = -r[i]
 
@@ -132,6 +136,7 @@ def diagonalize(A, track_left=False, track_right=False):
                         sk, si = S[k], S[i]
                         S[k] = [x * sk[c] + y * si[c] for c in range(nrows)]
                         S[i] = [-(b // g) * sk[c] + (a // g) * si[c] for c in range(nrows)]
+                    if track_inverse:
                         # inverse of [[x, y], [-b/g, a/g]] is [[a/g, -y], [b/g, x]]
                         for r in Sinv:
                             rk_, ri_ = r[k], r[i]
@@ -248,15 +253,16 @@ class ExactSolver:
 
 
 class ZQuotient:
-    """Presentation of Z^n / col-span(R) with generator lifts and coordinates."""
+    """Presentation of Z^n / col-span(R) with coordinates, and with lifts of
+    the free generators (``free_reps``, else None) when ``lifts`` is set."""
 
-    def __init__(self, n: int, relation_columns: list[list[int]]):
+    def __init__(self, n: int, relation_columns: list[list[int]], lifts: bool = False):
         self.n = n
         if relation_columns:
             A = [[col[i] for col in relation_columns] for i in range(n)]
         else:
             A = [[0] for _ in range(n)] if n else []
-        D, S, Sinv, _ = diagonalize(A, track_left=True)
+        D, S, Sinv, _ = diagonalize(A, track_left=True, track_inverse=lifts)
         self.S = S
         diag = []
         ncols = len(A[0]) if A else 0
@@ -268,8 +274,10 @@ class ZQuotient:
         self.torsion_idx = [i for i in range(n) if diag[i] > 1]
         self.torsion = [diag[i] for i in self.torsion_idx]
         self.rank = len(self.free_idx)
-        # lifts of the quotient generators back to Z^n
-        self.free_reps = [[Sinv[r][i] for r in range(n)] for i in self.free_idx]
+        # lifts of the free generators back to Z^n: columns of S^-1
+        self.free_reps = (
+            [[Sinv[r][i] for r in range(n)] for i in self.free_idx] if lifts else None
+        )
 
     def coords(self, x: list[int]) -> tuple[list[int], list[int]]:
         """Free and torsion coordinates of the class of x."""

@@ -126,16 +126,20 @@ def enumerate_colourings(P) -> list[tuple[int, ...]]:
 
 
 def _colour_canonical(chi, autos) -> tuple[int, ...]:
+    """Least image of chi under the automorphisms and colour permutations.
+
+    For a fixed automorphism the least recolouring renames colours in order
+    of first occurrence, so each automorphism costs one pass.
+    """
     best = None
-    perms = list(itertools.permutations((1, 2, 3, 4)))
     for sigma in autos:
         moved = [0] * len(chi)
         for i, c in enumerate(chi, start=1):
             moved[sigma[i] - 1] = c
-        for perm in perms:
-            cand = tuple(perm[c - 1] for c in moved)
-            if best is None or cand < best:
-                best = cand
+        rename = {}
+        cand = tuple(rename.setdefault(c, len(rename) + 1) for c in moved)
+        if best is None or cand < best:
+            best = cand
     return best
 
 
@@ -340,14 +344,19 @@ def enumerate_char_z2(P, max_m: int = 14) -> tuple[int, int]:
         last = max(vert, key=lambda f: pos[f])
         verts_by_last[last].append(vert)
     cols = [0] * (m + 1)
-    found = []
+    autos = list(P.isomorphisms_to(P))
+    count = 0
+    classes = set()
 
     def dependent(a, b, c):
         return a == b or c in (0, a, b, a ^ b)
 
     def place(t: int):
+        nonlocal count
         if t == m:
-            found.append(tuple(cols[1:]))
+            # canonicalised as found: the functions themselves are never stored
+            count += 1
+            classes.add(_z2_canonical(cols[1:], autos, P))
             return
         i = order[t]
         choices = (STD[t],) if t < 3 else range(1, 8)
@@ -365,9 +374,7 @@ def enumerate_char_z2(P, max_m: int = 14) -> tuple[int, int]:
 
     STD = (1, 2, 4)
     place(0)
-    autos = list(P.isomorphisms_to(P))
-    classes = {_z2_canonical(lam, autos, P) for lam in found}
-    return 168 * len(found), len(classes)
+    return 168 * count, len(classes)
 
 
 def _z2_canonical(lam, autos, P):

@@ -182,11 +182,9 @@ def full_subcomplex(K: SimplicialComplex, J) -> SimplicialComplex:
         raise ValueError("J must be a subset of the vertex set")
     Jm = _mask(Jt)
     newindex = {v: i + 1 for i, v in enumerate(Jt)}
-    sub_max = set()
-    for fm in K._maximal:
-        inter = fm & Jm
-        sub_max.add(_mask(newindex[v] for v in _unmask(inter)))
-    sub_max.discard(0)
+    inters = {fm & Jm for fm in K._maximal}
+    inters.discard(0)
+    sub_max = {_mask(newindex[v] for v in _unmask(inter)) for inter in inters}
     return SimplicialComplex(len(Jt), sub_max, vertex_labels=Jt)
 
 

@@ -5,8 +5,10 @@ v_i^2 = u_i v_i = 0; it has basis u_J v_I over pairs of disjoint subsets
 with I a face.  The component of multidegree M splits off a finite cochain
 complex whose cohomology in level p = |I| equals the reduced simplicial
 cohomology of the full subcomplex K_M in degree p - 1; both routes are
-computed and compared whenever a component is built, so a disagreement
+computed and compared whenever a piece is built, so a disagreement
 (which would mean a bug) raises InternalMismatch instead of propagating.
+Pieces are built level by level on first use: a product reads one level of
+its target multidegree and builds only that one.
 
 Products are computed monomial-wise in R*(K) and re-expressed in the chosen
 cohomology basis by reduction modulo coboundaries; no full multiplication
@@ -193,7 +195,7 @@ class _PieceZ:
         for col in d_in_cols:
             if any(col):
                 img_coords.append(self._solver.solve(col))
-        self._quo = ZQuotient(len(ker), img_coords)
+        self._quo = ZQuotient(len(ker), img_coords, lifts=True)
         self.rank = self._quo.rank
         self.torsion = tuple(self._quo.torsion)
         reps = []
@@ -248,29 +250,96 @@ class _PieceZ2:
 
 
 class Component:
-    """All cohomology pieces of one multidegree."""
+    """The cohomology pieces of one multidegree, each level built on first use.
 
-    __slots__ = ("jmask", "pieces")
+    Building piece p compares its rank and torsion with H~^{p-1}(K_J), the
+    reduced cohomology of the full subcomplex (Hochster), before returning
+    it.  The basis, the differentials and that subcomplex cohomology are
+    computed at most once and dropped once every level is built.  A
+    component holds no reference to its MultigradedCohomology, so dropping
+    the cohomology frees its components without waiting for the cyclic GC.
+    """
 
-    def __init__(self, jmask, pieces):
+    __slots__ = ("K", "coeffs", "jmask", "_pieces", "_pending", "_basis", "_mats", "_hochster")
+
+    def __init__(self, K: SimplicialComplex, coeffs: str, jmask: int):
+        self.K = K
+        self.coeffs = coeffs
         self.jmask = jmask
-        self.pieces = pieces  # dict p -> piece
+        self._pieces = {}  # level p -> piece, levels with an empty basis omitted
+        self._pending = set(range(jmask.bit_count() + 1))  # levels not yet checked
+        self._basis = r_basis(K, jmask)
+        self._mats = {}  # p -> differential level p -> level p+1
+        self._hochster = None
+
+    def piece(self, p: int):
+        """The piece at level p, built and checked on first use; None when the
+        level has no basis."""
+        if p not in self._pending:
+            return self._pieces.get(p)
+        lvl = self._basis.get(p)
+        piece = None if lvl is None else self._build(p, lvl)
+        self._check(p, piece)
+        if piece is not None:
+            self._pieces[p] = piece  # zero pieces kept: projections still need them
+        self._pending.discard(p)
+        if not self._pending:
+            self._basis = self._mats = self._hochster = None
+            self._pending = ()  # shared, where an emptied set keeps its table
+        return piece
+
+    @property
+    def pieces(self) -> dict:
+        """Every level with a basis -> its piece, building those not built yet."""
+        for p in sorted(self._pending):
+            self.piece(p)
+        return self._pieces
 
     def rank(self, p: int) -> int:
-        piece = self.pieces.get(p)
+        piece = self.piece(p)
         return piece.rank if piece else 0
 
     def torsion(self, p: int) -> tuple[int, ...]:
-        piece = self.pieces.get(p)
+        piece = self.piece(p)
         return piece.torsion if piece else ()
+
+    def _mat(self, p: int) -> list[list[int]]:
+        mat = self._mats.get(p)
+        if mat is None:
+            mat = self._mats[p] = _r_matrix(self._basis, self.jmask, p)
+        return mat
+
+    def _build(self, p: int, lvl: list[int]):
+        d_out = self._mat(p)
+        d_in_cols = [list(col) for col in zip(*self._mat(p - 1))]
+        if self.coeffs == "Z":
+            return _PieceZ(lvl, d_in_cols, d_out if d_out and d_out[0] else [])
+        if d_out and d_out[0]:
+            out_cols = [gf2_vector(col) for col in zip(*d_out)]
+        else:
+            out_cols = [0] * len(lvl)
+        in_cols = [gf2_vector(col) for col in d_in_cols]
+        return _PieceZ2(lvl, in_cols, out_cols)
+
+    def _check(self, p: int, piece) -> None:
+        if self._hochster is None:
+            sub = full_subcomplex(self.K, _unmask(self.jmask))
+            self._hochster = reduced_cohomology(sub, self.coeffs)
+        got = (piece.rank, piece.torsion) if piece else (0, ())
+        want = (self._hochster.rank(p - 1), self._hochster.torsion_at(p - 1))
+        if got != want:
+            raise InternalMismatch(
+                f"multidegree {_unmask(self.jmask)} level {p}: "
+                f"model gives {got}, subcomplex gives {want}"
+            )
 
 
 class MultigradedCohomology:
     """Lazy per-multidegree cohomology of Z_K with cocycle representatives.
 
-    Every component is computed from the R*(K) model (route 1) and verified
+    Every piece is computed from the R*(K) model (route 1) and verified
     against the shifted reduced simplicial cohomology of the full subcomplex
-    (route 2, Hochster).
+    (route 2, Hochster) whenever it is built.
     """
 
     def __init__(self, K: SimplicialComplex, coeffs: str = "Z"):
@@ -287,46 +356,8 @@ class MultigradedCohomology:
         jmask = _mask(J)
         comp = self._components.get(jmask)
         if comp is None:
-            comp = self._compute(jmask)
-            self._components[jmask] = comp
+            comp = self._components[jmask] = Component(self.K, self.coeffs, jmask)
         return comp
-
-    def _compute(self, jmask: int) -> Component:
-        K = self.K
-        basis = r_basis(K, jmask)
-        size = jmask.bit_count()
-        mats = {p: _r_matrix(basis, jmask, p) for p in range(size + 1)}
-        pieces = {}
-        for p, lvl in basis.items():
-            d_out = mats.get(p, [])
-            d_in_cols = [list(col) for col in zip(*mats.get(p - 1, []))]
-            if self.coeffs == "Z":
-                piece = _PieceZ(lvl, d_in_cols, d_out if d_out and d_out[0] else [])
-            else:
-                if d_out and d_out[0]:
-                    out_cols = [gf2_vector(col) for col in zip(*d_out)]
-                else:
-                    out_cols = [0] * len(lvl)
-                in_cols = [gf2_vector(col) for col in d_in_cols]
-                piece = _PieceZ2(lvl, in_cols, out_cols)
-            pieces[p] = piece  # zero pieces kept: projections still need them
-        comp = Component(jmask, pieces)
-        self._crosscheck(jmask, comp)
-        return comp
-
-    def _crosscheck(self, jmask: int, comp: Component) -> None:
-        sub = full_subcomplex(self.K, _unmask(jmask))
-        h = reduced_cohomology(sub, self.coeffs)
-        size = jmask.bit_count()
-        for p in range(size + 1):
-            want_rank = h.rank(p - 1)
-            want_tors = h.torsion_at(p - 1)
-            if comp.rank(p) != want_rank or comp.torsion(p) != want_tors:
-                raise InternalMismatch(
-                    f"multidegree {_unmask(jmask)} level {p}: "
-                    f"model gives ({comp.rank(p)}, {comp.torsion(p)}), "
-                    f"subcomplex gives ({want_rank}, {want_tors})"
-                )
 
     def compute_all(self) -> "MultigradedCohomology":
         if self._complete:
@@ -407,8 +438,7 @@ class MultigradedCohomology:
                 p = lp
             elif p != lp:
                 raise ValueError("chain mixes levels")
-        comp = self.component(jmask)
-        piece = comp.pieces.get(p)
+        piece = self.component(jmask).piece(p)
         if piece is None:
             raise ValueError("no such component level")
         free, tors = piece.project(norm)
@@ -471,7 +501,7 @@ class RingElement:
         """Representative cocycles, one chain per (multidegree, level)."""
         out = {}
         for (jm, p, i), c in self.terms.items():
-            piece = self.cohom.component(jm).pieces[p]
+            piece = self.cohom.component(jm).piece(p)
             chain = out.setdefault((jm, p), {})
             rep = piece.reps[i]
             if self.cohom.coeffs == "Z":
@@ -526,7 +556,7 @@ def cup_product(a: RingElement, b: RingElement) -> RingElement:
         chain = {L: c for L, c in chain.items() if c}
         if not chain:
             continue
-        piece = cohom.component(jm).pieces.get(p)
+        piece = cohom.component(jm).piece(p)
         if piece is None or (piece.rank == 0 and not piece.torsion):
             continue
         free, tors = piece.project(chain)

@@ -7,6 +7,7 @@ from pogorelov.characteristic import (
     CharMatrix,
     NotCharacteristic,
     SizeGuard,
+    _colour_canonical,
     colouring_classes,
     colouring_to_matrix,
     enumerate_char_z2,
@@ -78,6 +79,35 @@ def test_colouring_class_counts():
     assert colouring_classes(catalog("simplex")) == 1
     assert colouring_classes(catalog("barrel", 5)) == 1
     assert colouring_classes(catalog("barrel", 6)) == 4
+
+
+def _colour_canonical_bruteforce(chi, autos):
+    """The least image over every automorphism and all 24 colour permutations."""
+    best = None
+    for sigma in autos:
+        moved = [0] * len(chi)
+        for i, c in enumerate(chi, start=1):
+            moved[sigma[i] - 1] = c
+        for perm in itertools.permutations((1, 2, 3, 4)):
+            cand = tuple(perm[c - 1] for c in moved)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def test_colour_canonical_matches_permutation_minimum():
+    cases = [
+        (P, enumerate_colourings(P)) for P in (catalog("barrel", 6), catalog("prism", 5))
+    ]
+    cases.append((DODECA, random.Random(3).sample(enumerate_colourings(DODECA), 20)))
+    for P, colourings in cases:
+        autos = list(P.isomorphisms_to(P))
+        for chi in colourings:
+            for sigma in autos:
+                assert _colour_canonical(chi, [sigma]) == _colour_canonical_bruteforce(
+                    chi, [sigma]
+                )
+            assert _colour_canonical(chi, autos) == _colour_canonical_bruteforce(chi, autos)
 
 
 def test_dodecahedron_colouring_count():

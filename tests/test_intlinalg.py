@@ -1,7 +1,14 @@
 import itertools
 import random
 
-from pogorelov._intlinalg import GF2Echelon, gf2_kernel, gf2_rank, gf2_vector
+from pogorelov._intlinalg import (
+    GF2Echelon,
+    ZQuotient,
+    diagonalize,
+    gf2_kernel,
+    gf2_rank,
+    gf2_vector,
+)
 from pogorelov.characteristic import _det, _mat_inverse
 
 
@@ -156,3 +163,33 @@ def test_mat_inverse_z_rejects_non_unimodular():
     assert _mat_inverse([(1, 1), (1, -1)], "Z") is None
     # the same det-(-2) matrix is singular mod 2 as well
     assert _mat_inverse([(1, 1), (1, -1)], "Z2") is None
+
+
+def _product(A, B):
+    """Product of an r x k and a k x c matrix (lists of rows)."""
+    cols = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+
+
+def test_diagonalize_tracks_the_inverse_when_asked():
+    rng = random.Random(11)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        A = [[rng.choice((0, 0, 1, -1, 2, 3, -4, 6)) for _ in range(ncols)] for _ in range(nrows)]
+        D, S, Sinv, T = diagonalize(A, track_left=True, track_right=True, track_inverse=True)
+        assert _product(_product(S, A), T) == D
+        assert all(D[i][j] == 0 for i in range(nrows) for j in range(ncols) if i != j)
+        assert _product(S, Sinv) == _identity(nrows)
+        assert _product(Sinv, S) == _identity(nrows)
+        # the same elimination without S: Sinv alone is still the inverse
+        _, no_s, Sinv2, _ = diagonalize(A, track_inverse=True)
+        assert no_s is None and Sinv2 == Sinv
+        _, S2, no_inv, _ = diagonalize(A, track_left=True)
+        assert no_inv is None and S2 == S
+        # free generator lifts map to unit coordinates of the quotient
+        quo = ZQuotient(nrows, [list(col) for col in zip(*A)], lifts=True)
+        for k, rep in enumerate(quo.free_reps):
+            free, tors = quo.coords(rep)
+            assert free == [int(t == k) for t in range(quo.rank)]
+            assert not any(tors)
+        assert ZQuotient(nrows, [list(col) for col in zip(*A)]).free_reps is None

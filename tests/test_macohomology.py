@@ -1,11 +1,15 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from pogorelov import macohomology
 from pogorelov.belts import enumerate_belts, is_flag_polytope
 from pogorelov.complex import full_subcomplex, new_complex, reduced_cohomology
 from pogorelov.constructions import vertex_truncate
 from pogorelov.macohomology import (
+    InternalMismatch,
     KoszulMonomial,
     MultigradedCohomology,
     RingElement,
@@ -156,10 +160,120 @@ def test_poincare_duality_and_no_torsion(coh_dodeca):
 
 
 def test_hochster_crosscheck_runs_everywhere():
-    # the route-1 / route-2 comparison is built into every component; a full
+    # the route-1 / route-2 comparison is built into every piece; a full
     # sweep over a small polytope exercises it for all multidegrees
     cohomology(dual_complex(catalog("prism", 3)), "Z")
     cohomology(dual_complex(catalog("prism", 3)), "Z2")
+
+
+def _report_one_extra_rank(monkeypatch):
+    """Make route 2 (the full-subcomplex cohomology) disagree on every level."""
+    real = macohomology.reduced_cohomology
+
+    def one_extra(K, coeffs="Z"):
+        h = real(K, coeffs)
+        ranks = {d: h.rank(d) + 1 for d in range(-1, K.m)}
+        return type(h)(coeffs=h.coeffs, ranks=ranks, torsion=h.torsion)
+
+    monkeypatch.setattr(macohomology, "reduced_cohomology", one_extra)
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Z2"])
+def test_hochster_mismatch_raises_on_pieces_built_on_demand(monkeypatch, coeffs):
+    K = dual_complex(catalog("cube"))
+    coh = MultigradedCohomology(K, coeffs)
+    a, b = coh.h3_class(1, 2), coh.h3_class(3, 5)  # checked before the patch
+    _report_one_extra_rank(monkeypatch)
+    with pytest.raises(InternalMismatch):
+        MultigradedCohomology(K, coeffs).h3_class(1, 2)
+    with pytest.raises(InternalMismatch):
+        cup_product(a, b)  # builds level 2 of multidegree (1, 2, 3, 5)
+    with pytest.raises(InternalMismatch):
+        MultigradedCohomology(K, coeffs).component((1, 2, 3, 5)).piece(2)
+
+
+def test_h3_square_trivial_builds_one_piece_per_component(monkeypatch):
+    built, route2, real = [], [], macohomology.reduced_cohomology
+
+    class CountingPiece(macohomology._PieceZ):
+        __slots__ = ()
+
+        def __init__(self, basis, *args):
+            built.append(basis)
+            super().__init__(basis, *args)
+
+    def counting_route2(K, coeffs="Z"):
+        route2.append(K)
+        return real(K, coeffs)
+
+    monkeypatch.setattr(macohomology, "_PieceZ", CountingPiece)
+    monkeypatch.setattr(macohomology, "reduced_cohomology", counting_route2)
+    P = catalog("dodecahedron")
+    H = MultigradedCohomology(dual_complex(P), "Z")
+    assert h3_square_trivial(P, H)
+    comps = H._components
+    # 36 H^3 classes read level 1 of |J| = 2; products read level 2 of |J| = 4
+    assert {(jm.bit_count(), tuple(c._pieces)) for jm, c in comps.items()} == {
+        (2, (1,)),
+        (4, (2,)),
+    }
+    assert len(built) == len(route2) == len(comps)
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Z2"])
+@pytest.mark.parametrize("name,k", [("cube", None), ("prism", 5)])
+def test_pieces_built_one_at_a_time_equal_compute_all(monkeypatch, name, k, coeffs):
+    K = dual_complex(catalog(name, k))
+    ref = cohomology(K, coeffs)
+    mats, route2 = [], []
+    real_matrix, real_route2 = macohomology._r_matrix, macohomology.reduced_cohomology
+
+    def recording_matrix(basis, jmask, p):
+        mats.append((jmask, p))
+        return real_matrix(basis, jmask, p)
+
+    def counting_route2(sub, coeffs="Z"):
+        route2.append(sub)
+        return real_route2(sub, coeffs)
+
+    monkeypatch.setattr(macohomology, "_r_matrix", recording_matrix)
+    monkeypatch.setattr(macohomology, "reduced_cohomology", counting_route2)
+    fresh = MultigradedCohomology(K, coeffs)
+    for jmask in range(1 << K.m):
+        comp = fresh.component(jmask)
+        want = ref.component(jmask).pieces
+        for p in range(jmask.bit_count(), -1, -1):
+            got = comp.piece(p)
+            if p not in want:
+                assert got is None
+                continue
+            assert (got.basis, got.rank, got.torsion, got.reps) == (
+                want[p].basis,
+                want[p].rank,
+                want[p].torsion,
+                want[p].reps,
+            )
+        # every level is built: the basis, differentials and route 2 are let go
+        assert (comp._basis, comp._mats, comp._hochster) == (None, None, None)
+        assert comp.pieces.keys() == want.keys()
+    assert len(mats) == len(set(mats))
+    assert len(route2) == 1 << K.m
+    assert fresh.betti() == ref.betti()
+    assert fresh.torsion_summary() == ref.torsion_summary()
+
+
+def test_cohomology_is_freed_without_the_cyclic_gc():
+    P = catalog("prism", 5)
+    gc.disable()
+    try:
+        H = MultigradedCohomology(dual_complex(P), "Z")
+        ref = weakref.ref(H)
+        assert not h3_square_trivial(P, H)
+        assert H._components
+        del H
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_hochster_shift_explicit():
