@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .complex import _ints, _numbered_lines
 from .errors import InvariantViolation, SizeGuard
 
 
@@ -38,6 +39,9 @@ class CharMatrix:
             raise ValueError("ring must be 'Z' or 'Z2'")
         if len(self.rows) != self.n or len({len(r) for r in self.rows}) != 1:
             raise ValueError("ragged matrix")
+        bad = [a for r in self.rows for a in r if type(a) is not int]
+        if bad:
+            raise TypeError(f"matrix entries must be int, got {bad[0]!r}")
         if self.ring == "Z2" and any(a % 2 != a for r in self.rows for a in r):
             raise ValueError("Z2 matrix entries must be 0 or 1")
 
@@ -60,11 +64,7 @@ class CharMatrix:
 
     @classmethod
     def from_text(cls, text: str, ring: str = "Z") -> "CharMatrix":
-        rows = []
-        for ln in text.splitlines():
-            ln = ln.strip()
-            if ln:
-                rows.append(tuple(int(tok) for tok in ln.split()))
+        rows = [_ints(line, line[1]) for line in _numbered_lines(text)]
         if not rows:
             raise ValueError("empty matrix")
         if len({len(r) for r in rows}) != 1:

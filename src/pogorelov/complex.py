@@ -1,6 +1,10 @@
 """Abstract simplicial complexes on {1..m}: full subcomplexes, flagness,
 exact reduced simplicial cohomology, and chordless cycle enumeration.
 
+For a simplicial 2-sphere K the reduced cohomology of every full subcomplex
+K_J is free and is counted from components, edges and triangles inside J
+(``sphere_subcomplex_ranks``), with no linear algebra.
+
 Faces are stored via their maximal members; each face is internally a bitmask
 (bit i-1 = vertex i).  All one-element subsets and the empty set are always
 faces, including vertices that appear in no listed maximal face.
@@ -46,7 +50,10 @@ def _unmask(mask: int) -> tuple[int, ...]:
 class SimplicialComplex:
     """Immutable simplicial complex given by maximal faces."""
 
-    __slots__ = ("m", "_maximal", "vertex_labels", "_faces_by_size", "_adj")
+    __slots__ = (
+        "m", "_maximal", "vertex_labels", "_faces_by_size", "_face_set", "_adj",
+        "_low_triangles", "_sphere",
+    )
 
     def __init__(self, m: int, maximal_faces, vertex_labels=None):
         masks = set()
@@ -70,7 +77,10 @@ class SimplicialComplex:
         self._maximal = tuple(sorted(maximal))
         self.vertex_labels = vertex_labels  # set by full_subcomplex
         self._faces_by_size = None
+        self._face_set = None
         self._adj = None
+        self._low_triangles = None
+        self._sphere = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -78,26 +88,26 @@ class SimplicialComplex:
         return [_unmask(f) for f in self._maximal]
 
     def has_face(self, vertices) -> bool:
-        fm = _mask(vertices)
-        if fm == 0:
-            return True
-        return any(fm & ~g == 0 for g in self._maximal)
+        if self._face_set is None:
+            self.faces_by_size()
+        return _mask(vertices) in self._face_set
 
     def faces_by_size(self) -> dict[int, list[int]]:
         """All faces as bitmasks, keyed by cardinality; includes {} at key 0."""
         if self._faces_by_size is None:
             seen = {0}
             for fm in self._maximal:
-                verts = _unmask(fm)
-                for k in range(len(verts) + 1):
-                    for sub in itertools.combinations(verts, k):
-                        seen.add(_mask(sub))
+                sub = fm
+                while sub:  # every non-empty subset of fm
+                    seen.add(sub)
+                    sub = (sub - 1) & fm
             by_size = {}
             for f in seen:
                 by_size.setdefault(f.bit_count(), []).append(f)
             for k in by_size:
                 by_size[k].sort()
             self._faces_by_size = by_size
+            self._face_set = seen  # the same faces, for has_face
         return self._faces_by_size
 
     def faces(self) -> list[tuple[int, ...]]:
@@ -131,6 +141,57 @@ class SimplicialComplex:
             self._adj = adj
         return self._adj
 
+    def is_two_sphere(self) -> bool:
+        """True iff K is a simplicial 2-sphere: pure of dimension 2, every
+        edge in exactly two triangles, every vertex link one cycle, connected,
+        and Euler characteristic 2.  Decided once and cached."""
+        if self._sphere is None:
+            self._sphere = self._decide_two_sphere()
+        return self._sphere
+
+    def _decide_two_sphere(self) -> bool:
+        if self.m < 4 or any(f.bit_count() != 3 for f in self._maximal):
+            return False
+        # link of vertex v: its neighbours, each paired with the triangles' third vertices
+        link = [{} for _ in range(self.m + 1)]
+        for t in self._maximal:
+            for v in _bits(t):
+                a, b = _unmask(t & ~(1 << v))
+                link[v + 1].setdefault(a, []).append(b)
+                link[v + 1].setdefault(b, []).append(a)
+        for v in range(1, self.m + 1):
+            nbrs = link[v]
+            # every edge {v, a} in exactly two triangles: each link vertex has degree 2
+            if any(len(ends) != 2 for ends in nbrs.values()):
+                return False
+            # the link is one cycle: walking it from any vertex visits all of them
+            start = prev = next(iter(nbrs))
+            cur, steps = nbrs[start][0], 1
+            while cur != start:
+                ends = nbrs[cur]
+                prev, cur = cur, ends[1] if ends[0] == prev else ends[0]
+                steps += 1
+            if steps != len(nbrs):
+                return False
+        adj = self.adjacency()
+        seen = front = 1
+        while front:
+            low = front & -front
+            front ^= low
+            new = adj[low.bit_length()] & ~seen
+            seen |= new
+            front |= new
+        return seen == (1 << self.m) - 1 and self.euler_characteristic() == 2
+
+    def _triangles_by_lowest_vertex(self) -> list[tuple[int, ...]]:
+        """Triangle masks grouped by their smallest vertex (index 0 unused)."""
+        if self._low_triangles is None:
+            low = [[] for _ in range(self.m + 1)]
+            for t in self.faces_by_size().get(3, []):
+                low[(t & -t).bit_length()].append(t)
+            self._low_triangles = [tuple(ts) for ts in low]
+        return self._low_triangles
+
     # -- equality ------------------------------------------------------------
 
     def __eq__(self, other):
@@ -156,12 +217,34 @@ class SimplicialComplex:
 
     @classmethod
     def from_text(cls, text: str) -> "SimplicialComplex":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("m="):
-            raise ValueError("complex file must start with 'm=<int>'")
-        m = int(lines[0][2:])
-        faces = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
+        lines = _numbered_lines(text)
+        m = _read_m(lines, "complex")
+        faces = [_ints(line, line[1]) for line in lines[1:]]
         return cls(m, faces)
+
+
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines of text, stripped, with their 1-based line numbers."""
+    return [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+
+
+def _read_m(lines: list[tuple[int, str]], kind: str) -> int:
+    """m from the first line, which must read 'm=<int>'."""
+    if not lines or not lines[0][1].startswith("m="):
+        raise ValueError(f"{kind} file must start with 'm=<int>'")
+    head = _ints(lines[0], lines[0][1][2:])
+    if len(head) != 1:
+        raise ValueError(f"line {lines[0][0]}: expected 'm=<int>', got {lines[0][1]!r}")
+    return head[0]
+
+
+def _ints(line: tuple[int, str], part: str) -> tuple[int, ...]:
+    """The integers of part, a piece of the numbered line; a token that is not
+    an integer raises ValueError naming the line."""
+    try:
+        return tuple(int(tok) for tok in part.split())
+    except ValueError:
+        raise ValueError(f"line {line[0]}: expected integers, got {line[1]!r}") from None
 
 
 def new_complex(m: int, maximal_faces) -> SimplicialComplex:
@@ -299,6 +382,42 @@ def reduced_cohomology(K: SimplicialComplex, coeffs: str = "Z") -> GradedHomolog
         if r:
             ranks[d] = r
     return GradedHomology(coeffs=coeffs, ranks=ranks, torsion=torsion)
+
+
+def sphere_subcomplex_ranks(K: SimplicialComplex, J) -> tuple[int, int, int, int]:
+    """Ranks of H~^d(K_J) for d = -1, 0, 1, 2 when K is a 2-sphere, by counting.
+
+    With C components, E edges and T triangles inside J: h~^-1 = [J empty],
+    h~^0 = C - 1, h~^2 = [J = all], and h~^1 = C - |J| + E - T + [J = all]
+    from the reduced Euler characteristic.  Full subcomplexes of a 2-sphere
+    have free cohomology, so these ranks hold over Z and Z2 with no torsion.
+    """
+    jmask = _mask(J)
+    if not jmask:
+        return (1, 0, 0, 0)
+    adj = K.adjacency()
+    low = K._triangles_by_lowest_vertex()
+    comps = edges2 = tris = 0
+    rest = jmask
+    while rest:
+        comps += 1
+        front = seen = rest & -rest
+        while front:
+            bit = front & -front
+            front ^= bit
+            v = bit.bit_length()
+            inside = adj[v] & jmask
+            edges2 += inside.bit_count()
+            for t in low[v]:
+                if t & jmask == t:
+                    tris += 1
+            new = inside & ~seen
+            seen |= new
+            front |= new
+        rest &= ~seen
+    whole = int(jmask == (1 << K.m) - 1)
+    h1 = comps - jmask.bit_count() + edges2 // 2 - tris + whole
+    return (0, comps - 1, h1, whole)
 
 
 # ---------------------------------------------------------------------------

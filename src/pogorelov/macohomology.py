@@ -4,11 +4,16 @@ R*(K) is the quotient of the Koszul algebra of the face ring by
 v_i^2 = u_i v_i = 0; it has basis u_J v_I over pairs of disjoint subsets
 with I a face.  The component of multidegree M splits off a finite cochain
 complex whose cohomology in level p = |I| equals the reduced simplicial
-cohomology of the full subcomplex K_M in degree p - 1; both routes are
-computed and compared whenever a piece is built, so a disagreement
+cohomology of the full subcomplex K_M in degree p - 1 (Hochster).  Whenever
+a piece is built it is compared with that second route, so a disagreement
 (which would mean a bug) raises InternalMismatch instead of propagating.
+When K is a simplicial 2-sphere (the dual of a simple 3-polytope) the second
+route is counting: components, edges and triangles of K_M give its ranks
+and there is no torsion.  For any other K it is the cohomology of K_M by
+Smith form (or GF(2) elimination).
 Pieces are built level by level on first use: a product reads one level of
-its target multidegree and builds only that one.
+its target multidegree and builds only that one, and on a 2-sphere it skips
+a target level whose counted rank is zero without building it.
 
 Products are computed monomial-wise in R*(K) and re-expressed in the chosen
 cohomology basis by reduction modulo coboundaries; no full multiplication
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from ._intlinalg import (
     ExactSolver,
@@ -31,12 +37,14 @@ from ._intlinalg import (
     rank_z,
 )
 from .complex import (
+    GradedHomology,
     SimplicialComplex,
     _bits,
     _mask,
     _unmask,
     full_subcomplex,
     reduced_cohomology,
+    sphere_subcomplex_ranks,
 )
 from .errors import InvariantViolation, SizeGuard
 from .polytope import SimplePolytope, dual_complex
@@ -249,12 +257,23 @@ class _PieceZ2:
         return [coords >> t & 1 for t in self._free_pos], []
 
 
+def _subcomplex_cohomology(K: SimplicialComplex, jmask: int, coeffs: str) -> GradedHomology:
+    """H~*(K_J), the second route: counted when K is a 2-sphere, otherwise
+    computed from the full subcomplex."""
+    if K.is_two_sphere():
+        ranks = sphere_subcomplex_ranks(K, jmask)
+        return GradedHomology(coeffs, {d: r for d, r in enumerate(ranks, -1) if r})
+    return reduced_cohomology(full_subcomplex(K, _unmask(jmask)), coeffs)
+
+
 class Component:
     """The cohomology pieces of one multidegree, each level built on first use.
 
     Building piece p compares its rank and torsion with H~^{p-1}(K_J), the
     reduced cohomology of the full subcomplex (Hochster), before returning
-    it.  The basis, the differentials and that subcomplex cohomology are
+    it.  On a 2-sphere K that cohomology is counted (free, ranks from
+    components, edges and triangles); otherwise it is computed from K_J.
+    The basis, the differentials and that subcomplex cohomology are
     computed at most once and dropped once every level is built.  A
     component holds no reference to its MultigradedCohomology, so dropping
     the cohomology frees its components without waiting for the cyclic GC.
@@ -323,8 +342,7 @@ class Component:
 
     def _check(self, p: int, piece) -> None:
         if self._hochster is None:
-            sub = full_subcomplex(self.K, _unmask(self.jmask))
-            self._hochster = reduced_cohomology(sub, self.coeffs)
+            self._hochster = _subcomplex_cohomology(self.K, self.jmask, self.coeffs)
         got = (piece.rank, piece.torsion) if piece else (0, ())
         want = (self._hochster.rank(p - 1), self._hochster.torsion_at(p - 1))
         if got != want:
@@ -339,7 +357,9 @@ class MultigradedCohomology:
 
     Every piece is computed from the R*(K) model (route 1) and verified
     against the shifted reduced simplicial cohomology of the full subcomplex
-    (route 2, Hochster) whenever it is built.
+    (route 2, Hochster) whenever it is built.  Route 2 is counting when K is
+    a 2-sphere and the cohomology of the full subcomplex otherwise.  On a
+    2-sphere, products skip every target level that counting shows is zero.
     """
 
     def __init__(self, K: SimplicialComplex, coeffs: str = "Z"):
@@ -456,13 +476,19 @@ class MultigradedCohomology:
 class RingElement:
     """Element of H*(Z_K) in the chosen cohomology basis."""
 
-    __slots__ = ("cohom", "terms")
+    __slots__ = ("cohom", "_terms", "_chains")
 
-    def __init__(self, cohom: MultigradedCohomology, terms: dict):
+    def __init__(self, cohom: MultigradedCohomology, terms):
         if cohom.coeffs == "Z2":
             terms = {k: c % 2 for k, c in terms.items()}
         self.cohom = cohom
-        self.terms = {k: c for k, c in terms.items() if c}
+        self._terms = MappingProxyType({k: c for k, c in terms.items() if c})
+        self._chains = None
+
+    @property
+    def terms(self):
+        """Read-only mapping (jmask, level, index) -> nonzero coefficient."""
+        return self._terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -498,7 +524,12 @@ class RingElement:
         return hash(frozenset(self.terms.items()))
 
     def chains(self) -> dict[tuple[int, int], dict[int, int]]:
-        """Representative cocycles, one chain per (multidegree, level)."""
+        """Representative cocycles, one chain per (multidegree, level).
+
+        Computed once and cached: the same dict is returned on every call,
+        so callers must not modify it."""
+        if self._chains is not None:
+            return self._chains
         out = {}
         for (jm, p, i), c in self.terms.items():
             piece = self.cohom.component(jm).piece(p)
@@ -513,6 +544,7 @@ class RingElement:
                 for pos in _bits(rep):
                     L = piece.basis[pos]
                     chain[L] = (chain.get(L, 0) + c) % 2
+        self._chains = out
         return out
 
     def monomials(self) -> list[tuple[int, KoszulMonomial]]:
@@ -526,21 +558,33 @@ class RingElement:
         return out
 
 
+def _zero_by_counting(K: SimplicialComplex, jmask: int, p: int) -> bool:
+    """True when K is a 2-sphere and level p of multidegree J is zero, that
+    is H~^{p-1}(K_J) = 0 by counting."""
+    return K.is_two_sphere() and (p > 3 or not sphere_subcomplex_ranks(K, jmask)[p])
+
+
 def cup_product(a: RingElement, b: RingElement) -> RingElement:
     """Product in H*(Z_K): monomial-wise in R*(K), then re-expressed in the
-    cohomology basis; components with overlapping multidegrees vanish."""
+    cohomology basis; components with overlapping multidegrees vanish.
+
+    On a 2-sphere K a target level whose counted rank is zero holds no class
+    (Hochster), so it is dropped before its piece is built."""
     if a.cohom is not b.cohom:
         raise ValueError("BasisMismatch: elements over different cohomologies")
     cohom = a.cohom
     K = cohom.K
-    target_chains: dict[tuple[int, int], dict[int, int]] = {}
-    a_chains = a.chains()
-    b_chains = b.chains()
-    for (jm1, p1), ch1 in a_chains.items():
-        for (jm2, p2), ch2 in b_chains.items():
+    target_chains: dict[tuple[int, int], dict[int, int] | None] = {}
+    for (jm1, p1), ch1 in a.chains().items():
+        for (jm2, p2), ch2 in b.chains().items():
             if jm1 & jm2:
                 continue
-            target = target_chains.setdefault((jm1 | jm2, p1 + p2), {})
+            key = (jm1 | jm2, p1 + p2)
+            if key not in target_chains:
+                target_chains[key] = None if _zero_by_counting(K, *key) else {}
+            target = target_chains[key]
+            if target is None:
+                continue
             for L1, c1 in ch1.items():
                 e1 = jm1 & ~L1
                 for L2, c2 in ch2.items():
@@ -553,7 +597,7 @@ def cup_product(a: RingElement, b: RingElement) -> RingElement:
                     target[I] = target.get(I, 0) + s * c1 * c2
     terms = {}
     for (jm, p), chain in target_chains.items():
-        chain = {L: c for L, c in chain.items() if c}
+        chain = {L: c for L, c in chain.items() if c} if chain else None
         if not chain:
             continue
         piece = cohom.component(jm).piece(p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complex import SimplicialComplex, _mask
+from .complex import SimplicialComplex, _ints, _mask, _numbered_lines, _read_m
 from .errors import InvariantViolation
 
 
@@ -113,14 +113,17 @@ class SimplePolytope:
 
     @classmethod
     def from_text(cls, text: str) -> "SimplePolytope":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("m="):
-            raise ValueError("polytope file must start with 'm=<int>'")
-        m = int(lines[0][2:])
+        lines = _numbered_lines(text)
+        m = _read_m(lines, "polytope")
         rot = {}
-        for ln in lines[1:]:
-            head, _, tail = ln.partition(":")
-            rot[int(head)] = tuple(int(tok) for tok in tail.split())
+        for line in lines[1:]:
+            head, _, tail = line[1].partition(":")
+            facet = _ints(line, head)
+            if len(facet) != 1:
+                raise ValueError(
+                    f"line {line[0]}: expected '<facet>: <neighbours>', got {line[1]!r}"
+                )
+            rot[facet[0]] = _ints(line, tail)
         if sorted(rot) != list(range(1, m + 1)):
             raise ValueError("facet lines must cover 1..m exactly")
         return from_rotation_system([rot[i] for i in range(1, m + 1)])

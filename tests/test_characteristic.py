@@ -252,3 +252,16 @@ def test_matrix_text_roundtrip():
     assert CharMatrix.from_text(L.to_text(), ring="Z") == L
     with pytest.raises(ValueError):
         CharMatrix.from_text("1 2 3\n4 5\n")
+
+
+def test_matrix_text_names_the_bad_line():
+    with pytest.raises(ValueError, match=r"line 2: .*'0 1 z'"):
+        CharMatrix.from_text("1 0 1\n0 1 z\n")
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, 0.5, "1", None])
+def test_matrix_entries_must_be_int(entry):
+    with pytest.raises(TypeError):
+        CharMatrix(n=2, rows=((1, 0, entry), (0, 1, 1)))
+    with pytest.raises(TypeError):
+        CharMatrix(n=2, rows=((1, 0, entry), (0, 1, 1)), ring="Z2")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from pogorelov.complex import (
     new_complex,
     reduced_cohomology,
 )
+from pogorelov.polytope import catalog, dual_complex
 
 TWO_SEGMENTS = new_complex(4, [(1, 2), (3, 4)])
 TRIANGLE = new_complex(3, [(1, 2), (2, 3), (1, 3)])
@@ -23,6 +25,14 @@ OCTAHEDRON = new_complex(
     [
         (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 3, 6),
         (2, 3, 4), (2, 4, 5), (2, 5, 6), (2, 3, 6),
+    ],
+)
+
+RP2 = new_complex(
+    6,
+    [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
     ],
 )
 
@@ -118,13 +128,7 @@ def test_cohomology_circle():
 
 def test_cohomology_rp2_torsion():
     # minimal 6-vertex triangulation of RP^2: H^2 has Z/2 torsion
-    rp2 = new_complex(
-        6,
-        [
-            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-            (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
-        ],
-    )
+    rp2 = RP2
     h = reduced_cohomology(rp2, "Z")
     assert h.rank(1) == 0 and h.rank(2) == 0
     assert h.torsion_at(2) == (2,)
@@ -204,3 +208,64 @@ def test_universal_coefficients_mod2(K):
         even_here = sum(1 for t in hz.torsion_at(d) if t % 2 == 0)
         even_next = sum(1 for t in hz.torsion_at(d + 1) if t % 2 == 0)
         assert h2.rank(d) == hz.rank(d) + even_here + even_next
+
+
+# ---------------------------------------------------------------------------
+# The 2-sphere test
+
+
+# 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS = new_complex(
+    7,
+    [
+        tuple(sorted((i + d) % 7 + 1 for d in ds))
+        for i in range(7)
+        for ds in ((0, 1, 3), (0, 2, 3))
+    ],
+)
+# the cube's dual with one triangle removed
+DISC = new_complex(6, [f for f in OCTAHEDRON.maximal_faces() if f != (1, 3, 4)])
+# two tetrahedron boundaries sharing vertex 4: every edge in two triangles
+PINCHED = new_complex(
+    7,
+    list(itertools.combinations((1, 2, 3, 4), 3)) + list(itertools.combinations((4, 5, 6, 7), 3)),
+)
+
+
+def test_non_spheres_are_not_taken_for_2_spheres():
+    assert (RP2.euler_characteristic(), TORUS.euler_characteristic()) == (1, 0)
+    assert PINCHED.euler_characteristic() == 3
+    for K in (RP2, TORUS, DISC, PINCHED, TWO_SEGMENTS, SQUARE, TRIANGLE, new_complex(4, [])):
+        assert not K.is_two_sphere(), K
+
+
+def test_two_sphere_needs_one_cycle_per_vertex_link():
+    # a suspension of two disjoint triangles: every edge lies in two
+    # triangles and chi = 2, but the links of both apexes are two cycles
+    faces = []
+    for apex in (7, 8):
+        for a, b, c in ((1, 2, 3), (4, 5, 6)):
+            faces += [(a, b, apex), (b, c, apex), (a, c, apex)]
+    K = new_complex(8, faces)
+    assert K.euler_characteristic() == 8 - 18 + 12
+    assert not K.is_two_sphere()
+
+
+def test_spheres_are_taken_for_2_spheres():
+    assert TETRA_BOUNDARY.is_two_sphere()
+    assert OCTAHEDRON.is_two_sphere()
+    rng = random.Random(5)
+    for name, k in (("simplex", None), ("cube", None), ("prism", 5), ("dodecahedron", None)):
+        P = catalog(name, k)
+        perm = list(range(1, P.m + 1))
+        rng.shuffle(perm)
+        assert dual_complex(P.relabel(perm)).is_two_sphere()
+
+
+def test_from_text_names_the_bad_line():
+    with pytest.raises(ValueError, match=r"line 3: .*'1 x 3'"):
+        SimplicialComplex.from_text("m=4\n1 2 3\n1 x 3\n")
+    with pytest.raises(ValueError, match=r"line 1: .*'m=four'"):
+        SimplicialComplex.from_text("m=four\n1 2\n")
+    text = TETRA_BOUNDARY.to_text()
+    assert SimplicialComplex.from_text(text) == TETRA_BOUNDARY

@@ -166,6 +166,16 @@ def test_hochster_crosscheck_runs_everywhere():
     cohomology(dual_complex(catalog("prism", 3)), "Z2")
 
 
+def _count_one_extra_rank(monkeypatch):
+    """Make the counting route (the check on 2-spheres) disagree on every level."""
+    real = macohomology.sphere_subcomplex_ranks
+
+    def one_extra(K, J):
+        return tuple(r + 1 for r in real(K, J))
+
+    monkeypatch.setattr(macohomology, "sphere_subcomplex_ranks", one_extra)
+
+
 def _report_one_extra_rank(monkeypatch):
     """Make route 2 (the full-subcomplex cohomology) disagree on every level."""
     real = macohomology.reduced_cohomology
@@ -180,10 +190,11 @@ def _report_one_extra_rank(monkeypatch):
 
 @pytest.mark.parametrize("coeffs", ["Z", "Z2"])
 def test_hochster_mismatch_raises_on_pieces_built_on_demand(monkeypatch, coeffs):
+    # the dual of a polytope is a 2-sphere: its pieces are checked by counting
     K = dual_complex(catalog("cube"))
     coh = MultigradedCohomology(K, coeffs)
     a, b = coh.h3_class(1, 2), coh.h3_class(3, 5)  # checked before the patch
-    _report_one_extra_rank(monkeypatch)
+    _count_one_extra_rank(monkeypatch)
     with pytest.raises(InternalMismatch):
         MultigradedCohomology(K, coeffs).h3_class(1, 2)
     with pytest.raises(InternalMismatch):
@@ -192,32 +203,78 @@ def test_hochster_mismatch_raises_on_pieces_built_on_demand(monkeypatch, coeffs)
         MultigradedCohomology(K, coeffs).component((1, 2, 3, 5)).piece(2)
 
 
-def test_h3_square_trivial_builds_one_piece_per_component(monkeypatch):
-    built, route2, real = [], [], macohomology.reduced_cohomology
+@pytest.mark.parametrize("coeffs", ["Z", "Z2"])
+def test_route2_mismatch_raises_off_spheres(monkeypatch, coeffs):
+    # two segments are no 2-sphere: their pieces are checked by route 2
+    K = TWO_SEGMENTS
+    assert not K.is_two_sphere()
+    coh = MultigradedCohomology(K, coeffs)
+    a, b = coh.h3_class(1, 3), coh.h3_class(2, 4)  # checked before the patch
+    _report_one_extra_rank(monkeypatch)
+    with pytest.raises(InternalMismatch):
+        MultigradedCohomology(K, coeffs).h3_class(1, 3)
+    with pytest.raises(InternalMismatch):
+        cup_product(a, b)  # builds level 2 of multidegree (1, 2, 3, 4)
+    with pytest.raises(InternalMismatch):
+        MultigradedCohomology(K, coeffs).component((1, 2, 3, 4)).piece(2)
 
-    class CountingPiece(macohomology._PieceZ):
-        __slots__ = ()
 
-        def __init__(self, basis, *args):
-            built.append(basis)
-            super().__init__(basis, *args)
+def _record_builds_and_checks(monkeypatch):
+    """Lists of (jmask, level) for every piece built and every level checked,
+    and of the complexes passed to route 2."""
+    built, checked, route2 = [], [], []
+    real_build, real_check = macohomology.Component._build, macohomology.Component._check
+    real_route2 = macohomology.reduced_cohomology
 
-    def counting_route2(K, coeffs="Z"):
-        route2.append(K)
-        return real(K, coeffs)
+    def recording_build(comp, p, lvl):
+        built.append((comp.jmask, p))
+        return real_build(comp, p, lvl)
 
-    monkeypatch.setattr(macohomology, "_PieceZ", CountingPiece)
+    def recording_check(comp, p, piece):
+        checked.append((comp.jmask, p))
+        return real_check(comp, p, piece)
+
+    def counting_route2(sub, coeffs="Z"):
+        route2.append(sub)
+        return real_route2(sub, coeffs)
+
+    monkeypatch.setattr(macohomology.Component, "_build", recording_build)
+    monkeypatch.setattr(macohomology.Component, "_check", recording_check)
     monkeypatch.setattr(macohomology, "reduced_cohomology", counting_route2)
+    return built, checked, route2
+
+
+def test_h3_square_trivial_builds_one_piece_per_component(monkeypatch):
+    built, checked, route2 = _record_builds_and_checks(monkeypatch)
     P = catalog("dodecahedron")
-    H = MultigradedCohomology(dual_complex(P), "Z")
+    K = dual_complex(P)
+    H = MultigradedCohomology(K, "Z")
     assert h3_square_trivial(P, H)
-    comps = H._components
-    # 36 H^3 classes read level 1 of |J| = 2; products read level 2 of |J| = 4
-    assert {(jm.bit_count(), tuple(c._pieces)) for jm, c in comps.items()} == {
-        (2, (1,)),
-        (4, (2,)),
+    # the 36 H^3 classes read level 1 of |J| = 2; every product target counts zero
+    want = {(1 << (i - 1) | 1 << (j - 1), 1) for i, j in h3_basis(K)}
+    assert len(want) == 36
+    assert sorted(built) == sorted(checked) == sorted(want)
+    assert {jm: tuple(c._pieces) for jm, c in H._components.items()} == {
+        jm: (1,) for jm, _ in want
     }
-    assert len(built) == len(route2) == len(comps)
+    assert route2 == []
+
+
+@pytest.mark.parametrize("name,k", [("cube", None), ("prism", 5)])
+def test_h3_square_trivial_builds_and_checks_the_nonzero_target(monkeypatch, name, k):
+    built, checked, route2 = _record_builds_and_checks(monkeypatch)
+    P = catalog(name, k)
+    K = dual_complex(P)
+    assert not h3_square_trivial(P)
+    classes = {(1 << (i - 1) | 1 << (j - 1), 1) for i, j in h3_basis(K)}
+    targets = [key for key in built if key not in classes]
+    # the one target built is a 4-belt at level 2, where the product is non-zero
+    assert len(targets) == 1
+    jm, p = targets[0]
+    belts = {sum(1 << (f - 1) for f in belt) for belt in enumerate_belts(P, 4)}
+    assert p == 2 and jm in belts
+    assert len(built) == len(set(built)) and sorted(built) == sorted(checked)
+    assert route2 == []
 
 
 @pytest.mark.parametrize("coeffs", ["Z", "Z2"])
@@ -225,19 +282,20 @@ def test_h3_square_trivial_builds_one_piece_per_component(monkeypatch):
 def test_pieces_built_one_at_a_time_equal_compute_all(monkeypatch, name, k, coeffs):
     K = dual_complex(catalog(name, k))
     ref = cohomology(K, coeffs)
-    mats, route2 = [], []
-    real_matrix, real_route2 = macohomology._r_matrix, macohomology.reduced_cohomology
+    mats, counted = [], []
+    real_matrix, real_count = macohomology._r_matrix, macohomology.sphere_subcomplex_ranks
 
     def recording_matrix(basis, jmask, p):
         mats.append((jmask, p))
         return real_matrix(basis, jmask, p)
 
-    def counting_route2(sub, coeffs="Z"):
-        route2.append(sub)
-        return real_route2(sub, coeffs)
+    def recording_count(K, J):
+        counted.append(J)
+        return real_count(K, J)
 
     monkeypatch.setattr(macohomology, "_r_matrix", recording_matrix)
-    monkeypatch.setattr(macohomology, "reduced_cohomology", counting_route2)
+    monkeypatch.setattr(macohomology, "sphere_subcomplex_ranks", recording_count)
+    built, checked, route2 = _record_builds_and_checks(monkeypatch)
     fresh = MultigradedCohomology(K, coeffs)
     for jmask in range(1 << K.m):
         comp = fresh.component(jmask)
@@ -253,11 +311,16 @@ def test_pieces_built_one_at_a_time_equal_compute_all(monkeypatch, name, k, coef
                 want[p].torsion,
                 want[p].reps,
             )
-        # every level is built: the basis, differentials and route 2 are let go
+        # every level is built: the basis, differentials and the count are let go
         assert (comp._basis, comp._mats, comp._hochster) == (None, None, None)
         assert comp.pieces.keys() == want.keys()
     assert len(mats) == len(set(mats))
-    assert len(route2) == 1 << K.m
+    # each level of each multidegree is checked exactly once, by one count
+    every_level = [(jm, p) for jm in range(1 << K.m) for p in range(jm.bit_count() + 1)]
+    assert sorted(checked) == every_level
+    assert sorted(counted) == list(range(1 << K.m))
+    assert set(built) <= set(checked)
+    assert route2 == []
     assert fresh.betti() == ref.betti()
     assert fresh.torsion_summary() == ref.torsion_summary()
 
@@ -334,3 +397,19 @@ def test_monomial_formatting():
     assert str(mono) == "u1 u2 v3"
     assert mono.degree == 4
     assert str(KoszulMonomial(J=(), I=())) == "1"
+
+
+def test_ring_element_terms_are_read_only_and_chains_cached():
+    coh = MultigradedCohomology(dual_complex(catalog("cube")), "Z")
+    a = coh.h3_class(1, 2)
+    key = next(iter(a.terms))
+    with pytest.raises(TypeError):
+        a.terms[key] = 5
+    with pytest.raises(AttributeError):
+        a.terms = {}
+    assert a.chains() is a.chains()
+    # equality, hashing and sums behave as on plain dicts of terms
+    b = RingElement(coh, dict(a.terms))
+    assert a == b and hash(a) == hash(b)
+    assert dict((a + b).terms) == {key: 2 * a.terms[key]}
+    assert (a - b).is_zero() and dict(a.terms) == {key: a.terms[key]}

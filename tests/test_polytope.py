@@ -155,6 +155,16 @@ def test_text_roundtrip():
     assert Q.rotations == P.rotations
 
 
+def test_from_text_names_the_bad_line():
+    text = catalog("cube").to_text().replace("3: ", "3: 1 y ", 1)
+    with pytest.raises(ValueError, match=r"line 4: .*'3: 1 y "):
+        SimplePolytope.from_text(text)
+    with pytest.raises(ValueError, match=r"line 2: .*'one: 2 3 4'"):
+        SimplePolytope.from_text("m=4\none: 2 3 4\n")
+    with pytest.raises(ValueError, match=r"line 1: .*'m=4.5'"):
+        SimplePolytope.from_text("m=4.5\n")
+
+
 def test_polygon_basics():
     G = polygon(5)
     assert G.m == 5 and G.n == 2
