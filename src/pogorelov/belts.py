@@ -5,6 +5,10 @@ are adjacent, all other pairs are disjoint, and no three share a vertex.
 For k >= 4 these are exactly the chordless k-cycles of the dual 1-skeleton;
 3-belts are the missing triangles of the dual complex whose three edges are
 present.
+
+`has_belt(P, 4)` does not enumerate cycles: a 4-belt (i, k, j, l) is a pair
+of disjoint facets i, j with two disjoint facets k, l among their common
+neighbours, found with O(m^2) adjacency-mask operations.
 """
 
 from __future__ import annotations
@@ -30,15 +34,31 @@ def canonical_belt(seq) -> tuple[int, ...]:
 
 
 def _three_belts(P: SimplePolytope):
-    K = dual_complex(P)
+    vertices = set(P.vertex_tuples)
     adj = P.adjacency()
     out = []
     for i in range(1, P.m + 1):
         for j in _unmask(adj[i] >> i << i):  # neighbors above i
             for l in _unmask((adj[i] & adj[j]) >> j << j):
-                if not K.has_face((i, j, l)):
+                if (i, j, l) not in vertices:
                     out.append((i, j, l))
     return out
+
+
+def _has_four_belt(P: SimplePolytope) -> bool:
+    """Some disjoint F_i, F_j have two disjoint common neighbours F_k, F_l.
+
+    Then i, k, j, l is a chordless 4-cycle of the dual 1-skeleton, and every
+    such cycle arises this way."""
+    adj = P.adjacency()
+    full = (1 << P.m) - 1
+    for i in range(1, P.m + 1):
+        for j in _unmask(full >> i << i & ~adj[i]):  # disjoint from i, above it
+            common = adj[i] & adj[j]
+            for k in _unmask(common):
+                if common & ~adj[k] & ~(1 << (k - 1)):
+                    return True
+    return False
 
 
 def enumerate_belts(P: SimplePolytope, k: int | None = None) -> list[tuple[int, ...]]:
@@ -59,6 +79,8 @@ def enumerate_belts(P: SimplePolytope, k: int | None = None) -> list[tuple[int, 
 def has_belt(P: SimplePolytope, k: int) -> bool:
     if k == 3:
         return bool(_three_belts(P))
+    if k == 4:
+        return _has_four_belt(P)
     K = dual_complex(P)
     for cyc in chordless_cycles(K, max_len=k):
         if len(cyc) == k:

@@ -54,6 +54,7 @@ class InternalMismatch(InvariantViolation):
     """The two cohomology routes disagree; signals a bug, not a user error."""
 
 
+# guards of MultigradedCohomology.compute_all; its docstring says why
 _MAX_VERTICES_FULL = 20
 _MAX_TOTAL_DIM = 20000
 
@@ -380,6 +381,23 @@ class MultigradedCohomology:
         return comp
 
     def compute_all(self) -> "MultigradedCohomology":
+        """Build and keep the component of every one of the 2^m multidegrees.
+
+        Two guards raise SizeGuard before the work outgrows its use:
+
+        - `_MAX_VERTICES_FULL` (20) bounds m.  Every multidegree is built
+          and checked, so the cost doubles with each vertex: the
+          dodecahedron (m = 12, 4,096 multidegrees) takes about 3 s over Z
+          on a shared 2-vCPU machine with Python 3.11, and m = 20 would
+          take some 256 times as long.
+        - `_MAX_TOTAL_DIM` (20,000) bounds the summed rank and torsion count
+          of the kept pieces, because every component stays in memory with
+          its cocycle representatives and solvers; the dodecahedron keeps
+          1,872.
+
+        Work on single multidegrees (`component`, products,
+        `h3_square_trivial`) visits few of them and is not guarded.
+        """
         if self._complete:
             return self
         m = self.K.m

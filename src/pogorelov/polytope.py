@@ -3,12 +3,14 @@
 A polytope is stored by the cyclic sequence of neighbors of every facet.
 Validity is the combinatorial Steinitz criterion (facets bounded by simple
 edge cycles, any two facets meeting in at most one edge, dual complex a
-simplicial 2-sphere); no coordinates anywhere.
+simplicial 2-sphere); no coordinates anywhere.  Only from_rotation_system
+validates: relabel trusts the polytope it starts from and checks only that
+the facet map is a bijection.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 from .complex import SimplicialComplex, _ints, _mask, _numbered_lines, _read_m
@@ -47,17 +49,13 @@ class SimplePolytope:
         self.rotations = rotations  # tuple of tuples, 1-based, coherently oriented
         self._adj = None
         self._canon = None
-        verts = set()
+        verts = []
         oriented = {}
-        for i in range(1, self.m + 1):
-            rot = rotations[i - 1]
-            k = len(rot)
-            for p in range(k):
-                j, l = rot[p], rot[(p + 1) % k]
-                tri = frozenset((i, j, l))
-                verts.add(tuple(sorted(tri)))
-                if i < j and i < l:
-                    oriented[tri] = (i, j, l)
+        for i, rot in enumerate(rotations, 1):
+            for j, l in zip(rot, rot[1:] + rot[:1]):
+                if i < j and i < l:  # each vertex once, from its least facet
+                    verts.append((i, j, l) if j < l else (i, l, j))
+                    oriented[frozenset((i, j, l))] = (i, j, l)
         self.vertex_tuples = tuple(sorted(verts))
         self._oriented = oriented  # frozenset -> cyclic tuple, min-first
 
@@ -69,9 +67,9 @@ class SimplePolytope:
     def facet_size(self, i: int) -> int:
         return len(self.rotations[i - 1])
 
-    def adjacency(self) -> list[int]:
+    def adjacency(self) -> tuple[int, ...]:
         if self._adj is None:
-            self._adj = [0] + [_mask(rot) for rot in self.rotations]
+            self._adj = (0, *map(_mask, self.rotations))
         return self._adj
 
     def adjacent(self, i: int, j: int) -> bool:
@@ -131,45 +129,52 @@ class SimplePolytope:
     # -- relabeling / isomorphism ---------------------------------------------
 
     def relabel(self, perm) -> "SimplePolytope":
-        """Apply facet bijection old->new (dict or sequence with perm[old-1])."""
-        if not isinstance(perm, dict):
-            perm = {i + 1: p for i, p in enumerate(perm)}
-        new_rot = [None] * self.m
-        for i in range(1, self.m + 1):
-            new_rot[perm[i] - 1] = tuple(perm[j] for j in self.rotations[i - 1])
-        return from_rotation_system(new_rot)
+        """Apply facet bijection old->new (dict or sequence with perm[old-1]).
 
-    def _code_from(self, a: int, b: int, direction: int):
-        rot = self.rotations
-        label = {a: 1, b: 2}
-        order = [a, b]
-        parent = {a: b, b: a}
-        code = []
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            r = rot[v - 1] if direction == 1 else tuple(reversed(rot[v - 1]))
-            k = r.index(parent[v])
-            seq = r[k:] + r[:k]
-            for w in seq:
-                if w not in label:
-                    label[w] = len(order) + 1
-                    order.append(w)
-                    parent[w] = v
-            code.append(tuple(label[w] for w in seq))
-        return tuple(code), label
+        The result is built directly, without the Steinitz re-validation of
+        from_rotation_system: a bijection of facets carries a validated,
+        coherently oriented rotation system to another one, with the same
+        rotations from_rotation_system would return.  Only the bijection is
+        checked; anything else raises ValueError.
+        """
+        m = self.m
+        if isinstance(perm, dict):
+            if sorted(perm) != list(range(1, m + 1)):
+                raise ValueError(f"relabelling must have the keys 1..{m}, got {sorted(perm)}")
+            perm = [perm[i] for i in range(1, m + 1)]
+        perm = list(perm)
+        if len(perm) != m:
+            raise ValueError(f"relabelling has {len(perm)} entries for {m} facets")
+        if sorted(perm) != list(range(1, m + 1)):
+            repeated = sorted({p for p in perm if perm.count(p) > 1})
+            raise ValueError(
+                f"relabelling is not a bijection of 1..{m}: {perm}"
+                + (f" repeats {repeated}" if repeated else "")
+            )
+        image = [0, *perm]
+        new_rot = [None] * m
+        for i, rot in enumerate(self.rotations, 1):
+            new_rot[image[i] - 1] = tuple([image[j] for j in rot])
+        return SimplePolytope(tuple(new_rot), _validated=True)
 
     def canonical_code(self) -> bytes:
-        """Canonical form of the oriented map, reflections included."""
+        """Canonical form of the oriented map, reflections included.
+
+        The minimum over all darts and both directions of the breadth-first
+        code.  A dart's first row is (2, 3, ..., |F_a| + 1), so only darts
+        on the smallest facets can win; a candidate is dropped at its first
+        row greater than the best code's row."""
         if self._canon is None:
             best = None
-            for a in range(1, self.m + 1):
-                for b in self.rotations[a - 1]:
-                    for direction in (1, -1):
-                        code, _ = self._code_from(a, b, direction)
-                        if best is None or code < best:
-                            best = code
+            smallest = min(map(len, self.rotations))
+            for rot in (self.rotations, _mirror(self.rotations)):
+                for a in range(1, self.m + 1):
+                    if len(rot[a - 1]) != smallest:
+                        continue
+                    for b in rot[a - 1]:
+                        found = _bfs_code(rot, a, b, best)
+                        if found is not None:
+                            best = found[0]
             flat = [self.m]
             for seq in best:
                 flat.append(len(seq))
@@ -184,17 +189,57 @@ class SimplePolytope:
             return
         if self.f_vector() != other.f_vector():
             return
-        a0 = 1
-        b0 = self.rotations[0][0]
-        code0, label0 = self._code_from(a0, b0, 1)
-        inv0 = {lab: v for v, lab in label0.items()}
+        code0, order0 = _bfs_code(self.rotations, 1, self.rotations[0][0])
+        rots = (other.rotations, _mirror(other.rotations))
         for a in range(1, other.m + 1):
             for b in other.rotations[a - 1]:
-                for direction in (1, -1):
-                    code, label = other._code_from(a, b, direction)
-                    if code == code0:
-                        inv = {lab: v for v, lab in label.items()}
-                        yield {inv0[t]: inv[t] for t in inv0}
+                for rot in rots:
+                    found = _bfs_code(rot, a, b, code0, exact=True)
+                    if found is not None:
+                        order = found[1]
+                        yield {order0[t]: order[t] for t in range(self.m)}
+
+
+def _mirror(rotations):
+    """The rotations of the reflected map."""
+    return tuple(r[::-1] for r in rotations)
+
+
+def _bfs_code(rot, a: int, b: int, ref=None, exact=False):
+    """Breadth-first code of the map `rot` from the dart (a, b), with the
+    facet visiting order (order[t] carries label t + 1).
+
+    Every facet's row lists the labels of its neighbours in rotation order,
+    starting at the neighbour it was reached from.  With a reference code
+    `ref`, building stops and returns None at the first row greater than
+    ref's row at that position, or, when `exact`, at the first row differing
+    from it.  After a smaller row the rest is built without comparing.
+    """
+    label = [0] * (len(rot) + 1)
+    parent = [0] * (len(rot) + 1)
+    label[a], label[b] = 1, 2
+    parent[a], parent[b] = b, a
+    order = [a, b]
+    code = []
+    for v in order:  # grows while it is read
+        r = rot[v - 1]
+        k = r.index(parent[v])
+        row = []
+        for w in r[k:] + r[:k]:
+            t = label[w]
+            if not t:
+                order.append(w)
+                t = label[w] = len(order)
+                parent[w] = v
+            row.append(t)
+        if ref is not None:
+            bound = ref[len(code)]
+            if row != bound:
+                if exact or row > bound:
+                    return None
+                ref = None
+        code.append(row)
+    return code, order
 
 
 def from_rotation_system(rotations) -> SimplePolytope:
@@ -367,11 +412,13 @@ def _barrel_rotations(k: int):
     return rot
 
 
+@functools.lru_cache(maxsize=None)
 def catalog(name: str, k: int | None = None) -> SimplePolytope:
     """Named polytopes: simplex, cube, prism(k>=3), barrel(k>=5), dodecahedron.
 
     Barrel numbering: facet 1 top, 2 bottom, 3..k+2 upper pentagon belt,
-    k+3..2k+2 lower pentagon belt.
+    k+3..2k+2 lower pentagon belt.  Polytopes are immutable, so each result
+    is built once per process and shared.
     """
     name = name.lower()
     if name == "simplex":
