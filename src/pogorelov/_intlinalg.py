@@ -223,35 +223,6 @@ def mat_vec(A, x):
     return [sum(a * b for a, b in zip(row, x)) for row in A]
 
 
-class ExactSolver:
-    """Solve K c = z exactly over Z for a fixed full-column-rank K."""
-
-    def __init__(self, columns: list[list[int]]):
-        self.ncols = len(columns)
-        self.nrows = len(columns[0]) if columns else 0
-        A = [[columns[j][i] for j in range(self.ncols)] for i in range(self.nrows)]
-        self.D, self.S, _, self.T = diagonalize(A, track_left=True, track_right=True)
-
-    def solve(self, z: list[int]) -> list[int]:
-        """Return c with K c = z; raises ValueError if no integer solution."""
-        y = mat_vec(self.S, z)
-        c_diag = []
-        for i in range(self.ncols):
-            d = self.D[i][i] if i < min(self.nrows, self.ncols) else 0
-            if d == 0:
-                if i < len(y) and y[i]:
-                    raise ValueError("no solution")
-                c_diag.append(0)
-            else:
-                if y[i] % d:
-                    raise ValueError("no integer solution")
-                c_diag.append(y[i] // d)
-        for i in range(self.ncols, self.nrows):
-            if y[i]:
-                raise ValueError("no solution")
-        return mat_vec(self.T, c_diag)
-
-
 class ZQuotient:
     """Presentation of Z^n / col-span(R) with coordinates, and with lifts of
     the free generators (``free_reps``, else None) when ``lifts`` is set."""

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from ._intlinalg import (
-    ExactSolver,
     GF2Echelon,
     ZQuotient,
+    diagonalize,
     gf2_kernel,
     gf2_rank,
     gf2_vector,
-    kernel_basis,
     rank_z,
 )
 from .complex import (
@@ -112,23 +111,30 @@ def r_differential(K: SimplicialComplex, J, p: int) -> list[list[int]]:
     (-1)^(pos of j in J' - 1) u_{J'-j} v_{I+j}.
     """
     jmask = _mask(J)
-    return _r_matrix(r_basis(K, jmask), jmask, p)
+    basis = r_basis(K, jmask)
+    cols = _r_matrix(basis, jmask, p)
+    return [[col[r] for col in cols] for r in range(len(basis.get(p + 1, ())))]
 
 
 def _r_matrix(basis: dict[int, list[int]], jmask: int, p: int) -> list[list[int]]:
-    """``r_differential`` on a basis already built by ``r_basis``."""
-    lo = basis.get(p, [])
+    """``r_differential`` on a basis already built by ``r_basis``, as its
+    columns: one list per level-p face, indexed by the level-(p+1) faces."""
     hi = basis.get(p + 1, [])
     index = {f: i for i, f in enumerate(hi)}
-    rows = [[0] * len(lo) for _ in hi]
-    for c, L in enumerate(lo):
+    cols = []
+    for L in basis.get(p, ()):
+        col = [0] * len(hi)
         jm = jmask & ~L
-        for j in _bits(jm):
-            target = L | (1 << j)
-            r = index.get(target)
+        sign = 1  # _exterior_sign(jmask & ~L, j), walking j up through J \ L
+        while jm:
+            low = jm & -jm
+            r = index.get(L | low)
             if r is not None:
-                rows[r][c] = _exterior_sign(jm, j)
-    return rows
+                col[r] = sign
+            sign = -sign
+            jm ^= low
+        cols.append(col)
+    return cols
 
 
 def monomial(K: SimplicialComplex, J, I) -> KoszulMonomial:
@@ -190,39 +196,65 @@ def r_complex(K: SimplicialComplex) -> RComplex:
 
 
 class _PieceZ:
-    __slots__ = ("basis", "rank", "torsion", "_solver", "_quo", "reps")
+    """Level p of one multidegree over Z: ker d_out / im d_in.
 
-    def __init__(self, basis, d_in_cols, d_out_matrix):
+    One Smith pass over d_out^T gives a unimodular S with S d_out^T T
+    diagonal of rank r.  The coordinate map is z -> z S^-1: z equals its
+    coordinates times the rows of S, and rows r.. of S span the saturated
+    lattice ker d_out, so z is a cocycle iff its first r coordinates are 0,
+    and then the rest are its coordinates in that kernel basis.  A second
+    pass (``ZQuotient``) presents the kernel modulo the image of d_in.
+    """
+
+    __slots__ = ("basis", "rank", "torsion", "_r", "_sinv", "_quo", "reps")
+
+    def __init__(self, basis, d_in_cols, d_out_t):
         self.basis = basis  # list of face masks
         n = len(basis)
-        if d_out_matrix and d_out_matrix[0]:
-            ker = kernel_basis(d_out_matrix)
-        else:
-            ker = [[int(i == j) for i in range(n)] for j in range(n)]
-        self._solver = ExactSolver(ker) if ker else None
+        if d_out_t and d_out_t[0]:
+            D, S, self._sinv, _ = diagonalize(d_out_t, track_left=True, track_inverse=True)
+            self._r = sum(1 for i in range(min(n, len(D[0]))) if D[i][i])
+        else:  # nothing above level p: every chain is a cocycle, S = 1
+            S = self._sinv = None
+            self._r = 0
         img_coords = []
         for col in d_in_cols:
             if any(col):
-                img_coords.append(self._solver.solve(col))
-        self._quo = ZQuotient(len(ker), img_coords, lifts=True)
+                c = self._coords(col)
+                if any(c[: self._r]):
+                    raise InternalMismatch("d_out d_in is not zero")
+                img_coords.append(c[self._r :])
+        self._quo = ZQuotient(n - self._r, img_coords, lifts=True)
         self.rank = self._quo.rank
         self.torsion = tuple(self._quo.torsion)
         reps = []
         for lift in self._quo.free_reps:
+            if S is None:
+                reps.append(lift)
+                continue
             vec = [0] * n
-            for t, c in enumerate(lift):
+            for t, c in enumerate(lift, self._r):
                 if c:
-                    for i in range(n):
-                        vec[i] += c * ker[t][i]
+                    vec = [x + c * y for x, y in zip(vec, S[t])]
             reps.append(vec)
         self.reps = reps  # free representatives only
 
+    def _coords(self, z: list[int]) -> list[int]:
+        """z S^-1, summing only the rows of S^-1 where z is non-zero."""
+        if self._sinv is None:
+            return z
+        c = [0] * len(z)
+        for a, row in zip(z, self._sinv):
+            if a:
+                c = [x + a * y for x, y in zip(c, row)]
+        return c
+
     def project(self, chain: dict) -> tuple[list[int], list[int]]:
         """Coordinates (free, torsion) of a cocycle given as {face mask: coeff}."""
-        if self._solver is None:
-            return [], []
-        c = self._solver.solve([chain.get(L, 0) for L in self.basis])
-        return self._quo.coords(c)
+        c = self._coords([chain.get(L, 0) for L in self.basis])
+        if any(c[: self._r]):
+            raise ValueError("not a cocycle")
+        return self._quo.coords(c[self._r :])
 
 
 class _PieceZ2:
@@ -330,16 +362,13 @@ class Component:
         return mat
 
     def _build(self, p: int, lvl: list[int]):
-        d_out = self._mat(p)
-        d_in_cols = [list(col) for col in zip(*self._mat(p - 1))]
+        # differentials as columns: d_in's, and d_out's, which are the rows of d_out^T
+        d_in_cols, d_out_cols = self._mat(p - 1), self._mat(p)
         if self.coeffs == "Z":
-            return _PieceZ(lvl, d_in_cols, d_out if d_out and d_out[0] else [])
-        if d_out and d_out[0]:
-            out_cols = [gf2_vector(col) for col in zip(*d_out)]
-        else:
-            out_cols = [0] * len(lvl)
-        in_cols = [gf2_vector(col) for col in d_in_cols]
-        return _PieceZ2(lvl, in_cols, out_cols)
+            return _PieceZ(lvl, d_in_cols, d_out_cols)
+        return _PieceZ2(
+            lvl, [gf2_vector(col) for col in d_in_cols], [gf2_vector(col) for col in d_out_cols]
+        )
 
     def _check(self, p: int, piece) -> None:
         if self._hochster is None:
@@ -387,13 +416,13 @@ class MultigradedCohomology:
 
         - `_MAX_VERTICES_FULL` (20) bounds m.  Every multidegree is built
           and checked, so the cost doubles with each vertex: the
-          dodecahedron (m = 12, 4,096 multidegrees) takes about 3 s over Z
+          dodecahedron (m = 12, 4,096 multidegrees) takes about 2 s over Z
           on a shared 2-vCPU machine with Python 3.11, and m = 20 would
           take some 256 times as long.
         - `_MAX_TOTAL_DIM` (20,000) bounds the summed rank and torsion count
           of the kept pieces, because every component stays in memory with
-          its cocycle representatives and solvers; the dodecahedron keeps
-          1,872.
+          its cocycle representatives and coordinate maps; the dodecahedron
+          keeps 1,872.
 
         Work on single multidegrees (`component`, products,
         `h3_square_trivial`) visits few of them and is not guarded.
@@ -468,6 +497,10 @@ class MultigradedCohomology:
         norm = {}
         for key, c in chain.items():
             L = _mask(key)
+            if L & ~jmask:
+                raise ValueError(f"{_unmask(L)} lies outside multidegree {_unmask(jmask)}")
+            if not self.K.has_face(L):
+                raise ValueError(f"{_unmask(L)} is not a face")
             norm[L] = norm.get(L, 0) + c
         p = None
         for L in norm:
