@@ -250,7 +250,8 @@ class _PieceZ:
         return c
 
     def project(self, chain: dict) -> tuple[list[int], list[int]]:
-        """Coordinates (free, torsion) of a cocycle given as {face mask: coeff}."""
+        """Coordinates (free, torsion) of a cocycle given as {face mask: coeff};
+        ValueError if the chain is not a cocycle."""
         c = self._coords([chain.get(L, 0) for L in self.basis])
         if any(c[: self._r]):
             raise ValueError("not a cocycle")
@@ -362,7 +363,7 @@ class Component:
         return mat
 
     def _build(self, p: int, lvl: list[int]):
-        # differentials as columns: d_in's, and d_out's, which are the rows of d_out^T
+        # d_out's columns are the rows of d_out^T, which _PieceZ diagonalises
         d_in_cols, d_out_cols = self._mat(p - 1), self._mat(p)
         if self.coeffs == "Z":
             return _PieceZ(lvl, d_in_cols, d_out_cols)
@@ -492,7 +493,10 @@ class MultigradedCohomology:
         return self.class_element(0, 0, 0)
 
     def from_chain(self, J, chain) -> "RingElement":
-        """Class of a cocycle; chain maps face tuples (or masks) to coeffs."""
+        """Class of a cocycle; chain maps face tuples (or masks) to coeffs.
+
+        Raises ValueError for a face outside J or not of K, a chain that is
+        not a cocycle, or one that represents a torsion class."""
         jmask = _mask(J)
         norm = {}
         for key, c in chain.items():

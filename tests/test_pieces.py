@@ -190,7 +190,7 @@ def test_piece_z_on_random_complexes_with_torsion(seed, factors, free, out_rank)
 
 @pytest.mark.parametrize("coeffs", ["Z", "Z2"])
 @pytest.mark.parametrize("name,k", [("cube", None), ("prism", 5)])
-def test_z_piece_makes_at_most_two_smith_passes(monkeypatch, name, k, coeffs):
+def test_pieces_make_two_smith_passes_at_most_over_z_and_none_over_z2(monkeypatch, name, k, coeffs):
     calls = []
     real = _intlinalg.diagonalize
 
@@ -205,7 +205,7 @@ def test_z_piece_makes_at_most_two_smith_passes(monkeypatch, name, k, coeffs):
     for jmask in range(1 << K.m):
         comp = cohom.component(jmask)
         for p in range(jmask.bit_count() + 1):
-            del calls[:]
+            calls.clear()
             comp.piece(p)
             assert len(calls) <= (2 if coeffs == "Z" else 0)
 
