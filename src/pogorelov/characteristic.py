@@ -21,7 +21,7 @@ class NotCharacteristic(ValueError):
     pass
 
 
-class LiftFailed(RuntimeError):
+class LiftFailed(InvariantViolation):
     """Mod-2 lift produced a non-characteristic matrix (cannot happen for
     n = 3 by the 0/1-determinant argument; surfaced rather than ignored)."""
 

@@ -4,7 +4,9 @@ R*(K) is the quotient of the Koszul algebra of the face ring by
 v_i^2 = u_i v_i = 0; it has basis u_J v_I over pairs of disjoint subsets
 with I a face.  The component of multidegree M splits off a finite cochain
 complex whose cohomology in level p = |I| equals the reduced simplicial
-cohomology of the full subcomplex K_M in degree p - 1 (Hochster).  Whenever
+cohomology of the full subcomplex K_M in degree p - 1 (Hochster).  That
+complex is ``r_basis`` (the faces of each level) with the differential
+``_r_matrix`` (as columns); every piece is built from these two.  Whenever
 a piece is built it is compared with that second route, so a disagreement
 (which would mean a bug) raises InternalMismatch instead of propagating.
 When K is a simplicial 2-sphere (the dual of a simple 3-polytope) the second
@@ -74,12 +76,6 @@ class KoszulMonomial:
         return len(self.J) + 2 * len(self.I)
 
 
-def _exterior_sign(jmask: int, j: int) -> int:
-    """Sign (-1)^(r-1) for j at position r of the set jmask, increasing order."""
-    below = jmask & ((1 << j) - 1)
-    return -1 if below.bit_count() % 2 else 1
-
-
 def _merge_sign(a: int, b: int) -> int:
     """Koszul sign reordering u_A u_B into u_{A|B}: count inversions."""
     inv = 0
@@ -104,28 +100,21 @@ def r_basis(K: SimplicialComplex, J) -> dict[int, list[int]]:
     return out
 
 
-def r_differential(K: SimplicialComplex, J, p: int) -> list[list[int]]:
-    """Matrix of d: level p -> level p+1 in multidegree J (rows = level p+1).
+def _r_matrix(basis: dict[int, list[int]], jmask: int, p: int) -> list[list[int]]:
+    """The differential d: level p -> level p+1 of multidegree J on a basis
+    built by ``r_basis``, as its columns: one list per level-p face,
+    indexed by the level-(p+1) faces.
 
     d(u_{J'} v_I) = sum over j in J' with I+j a face of
     (-1)^(pos of j in J' - 1) u_{J'-j} v_{I+j}.
     """
-    jmask = _mask(J)
-    basis = r_basis(K, jmask)
-    cols = _r_matrix(basis, jmask, p)
-    return [[col[r] for col in cols] for r in range(len(basis.get(p + 1, ())))]
-
-
-def _r_matrix(basis: dict[int, list[int]], jmask: int, p: int) -> list[list[int]]:
-    """``r_differential`` on a basis already built by ``r_basis``, as its
-    columns: one list per level-p face, indexed by the level-(p+1) faces."""
     hi = basis.get(p + 1, [])
     index = {f: i for i, f in enumerate(hi)}
     cols = []
     for L in basis.get(p, ()):
         col = [0] * len(hi)
         jm = jmask & ~L
-        sign = 1  # _exterior_sign(jmask & ~L, j), walking j up through J \ L
+        sign = 1  # (-1)^(pos of j in J \ L - 1), walking j up through J \ L
         while jm:
             low = jm & -jm
             r = index.get(L | low)
@@ -137,58 +126,12 @@ def _r_matrix(basis: dict[int, list[int]], jmask: int, p: int) -> list[list[int]
     return cols
 
 
-def monomial(K: SimplicialComplex, J, I) -> KoszulMonomial:
-    jt, it = tuple(sorted(J)), tuple(sorted(I))
-    if set(jt) & set(it):
-        raise ValueError("J and I must be disjoint")
-    if not K.has_face(it):
-        raise ValueError(f"{it} is not a face")
-    return KoszulMonomial(J=jt, I=it)
-
-
-class RComplex:
-    """The differential bigraded model R*(K) with d**2 = 0, by multidegree."""
-
-    def __init__(self, K: SimplicialComplex):
-        self.K = K
-
-    def basis(self, J) -> dict[int, list[KoszulMonomial]]:
-        jmask = _mask(J)
-        out = {}
-        for p, lvl in r_basis(self.K, jmask).items():
-            out[p] = [
-                KoszulMonomial(J=_unmask(jmask & ~L), I=_unmask(L))
-                for L in lvl
-            ]
-        return out
-
-    def differential(self, J, p: int) -> list[list[int]]:
-        return r_differential(self.K, J, p)
-
-    def d(self, chain: dict, J) -> dict:
-        """Apply d to a chain {face-mask: coeff} in multidegree J."""
-        jmask = _mask(J)
-        out = {}
-        for L, c in chain.items():
-            jm = jmask & ~L
-            for j in _bits(jm):
-                target = L | (1 << j)
-                if self.K.has_face(target):
-                    out[target] = out.get(target, 0) + c * _exterior_sign(jm, j)
-        return {k: v for k, v in out.items() if v}
-
-    def check_d_squared(self, J) -> bool:
-        jmask = _mask(J)
-        for p, lvl in r_basis(self.K, jmask).items():
-            for L in lvl:
-                dd = self.d(self.d({L: 1}, jmask), jmask)
-                if dd:
-                    return False
-        return True
-
-
-def r_complex(K: SimplicialComplex) -> RComplex:
-    return RComplex(K)
+def r_differential(K: SimplicialComplex, J, p: int) -> list[list[int]]:
+    """``_r_matrix`` of multidegree J as a matrix of rows (rows = level p+1)."""
+    jmask = _mask(J)
+    basis = r_basis(K, jmask)
+    cols = _r_matrix(basis, jmask, p)
+    return [[col[r] for col in cols] for r in range(len(basis.get(p + 1, ())))]
 
 
 # ---------------------------------------------------------------------------
@@ -444,40 +387,38 @@ class MultigradedCohomology:
 
     # -- global views ----------------------------------------------------------
 
-    def betti(self) -> dict[int, int]:
+    def _built_pieces(self):
+        """(jmask, p, piece) for every piece, after ``compute_all``: multidegrees
+        ascending, and levels ascending within each."""
         self.compute_all()
+        for jmask in sorted(self._components):
+            pieces = self._components[jmask].pieces
+            for p in sorted(pieces):
+                yield jmask, p, pieces[p]
+
+    def betti(self) -> dict[int, int]:
         out = {}
-        for jmask, comp in self._components.items():
-            size = jmask.bit_count()
-            for p, piece in comp.pieces.items():
-                if piece.rank:
-                    out[size + p] = out.get(size + p, 0) + piece.rank
+        for jmask, p, piece in self._built_pieces():
+            if piece.rank:
+                ell = jmask.bit_count() + p
+                out[ell] = out.get(ell, 0) + piece.rank
         return dict(sorted(out.items()))
 
     def total_dim(self) -> int:
         """Total free rank (= dimension over the field for Z2, over Q for Z)."""
-        self.compute_all()
-        return sum(
-            p.rank for comp in self._components.values() for p in comp.pieces.values()
-        )
+        return sum(piece.rank for _, _, piece in self._built_pieces())
 
     def basis_classes(self):
         """Iterate (jmask, p, index) over the free basis, deterministic order."""
-        self.compute_all()
-        for jmask in sorted(self._components):
-            comp = self._components[jmask]
-            for p in sorted(comp.pieces):
-                for i in range(comp.pieces[p].rank):
-                    yield (jmask, p, i)
+        for jmask, p, piece in self._built_pieces():
+            for i in range(piece.rank):
+                yield (jmask, p, i)
 
     def torsion_summary(self) -> dict[int, list[int]]:
-        self.compute_all()
         out = {}
-        for jmask, comp in self._components.items():
-            size = jmask.bit_count()
-            for p, piece in comp.pieces.items():
-                if piece.torsion:
-                    out.setdefault(size + p, []).extend(piece.torsion)
+        for jmask, p, piece in self._built_pieces():
+            if piece.torsion:
+                out.setdefault(jmask.bit_count() + p, []).extend(piece.torsion)
         return out
 
     # -- classes ---------------------------------------------------------------
@@ -703,6 +644,24 @@ def h3_square_trivial(P: SimplePolytope, cohom: MultigradedCohomology | None = N
     return True
 
 
+def _field_cohomology(
+    P: SimplePolytope, coeffs: str, cohom: MultigradedCohomology | None
+) -> MultigradedCohomology:
+    """The full cohomology behind a rank over the field 'q' (from Z) or 'z2'."""
+    if coeffs not in ("q", "z2"):
+        raise ValueError("coeffs must be 'q' or 'z2'")
+    if cohom is None:
+        cohom = MultigradedCohomology(dual_complex(P), "Z" if coeffs == "q" else "Z2")
+    return cohom.compute_all()
+
+
+def _field_rank(vectors: list[list[int]], coeffs: str) -> int:
+    """Rank of integer vectors over Q ('q') or of their reductions over GF(2)."""
+    if coeffs == "q":
+        return rank_z(vectors)
+    return gf2_rank([gf2_vector(vec) for vec in vectors])
+
+
 def decomposability_report(
     P: SimplePolytope,
     coeffs: str = "q",
@@ -719,61 +678,47 @@ def decomposability_report(
     top parts, which is where full decomposability is expected for flag
     polytopes.
     """
-    if coeffs not in ("q", "z2"):
-        raise ValueError("coeffs must be 'q' or 'z2'")
-    K = dual_complex(P)
-    if cohom is None:
-        cohom = MultigradedCohomology(K, "Z" if coeffs == "q" else "Z2")
-    cohom.compute_all()
+    cohom = _field_cohomology(P, coeffs, cohom)
     wanted = set(degrees) if degrees is not None else None
     level_set = set(levels) if levels is not None else None
     report: dict[int, int] = {}
     cache: dict[int, Component] = cohom._components
-    for jmask in sorted(cache):
-        comp = cache[jmask]
-        size = jmask.bit_count()
-        if size == 0:
+    for jmask, p, piece in cohom._built_pieces():
+        if jmask == 0 or piece.rank == 0:
             continue
-        for p, piece in comp.pieces.items():
-            if piece.rank == 0:
+        if level_set is not None and p not in level_set:
+            continue
+        ell = jmask.bit_count() + p
+        if wanted is not None and ell not in wanted:
+            continue
+        # span of products of positive-degree classes landing here
+        vectors = []
+        anchor = jmask & -jmask
+        for sub in _submasks(jmask):
+            if sub == 0 or sub == jmask or not sub & anchor:
                 continue
-            if level_set is not None and p not in level_set:
-                continue
-            ell = size + p
-            if wanted is not None and ell not in wanted:
-                continue
-            # span of products of positive-degree classes landing here
-            vectors = []
-            anchor = jmask & -jmask
-            for sub in _submasks(jmask):
-                if sub == 0 or sub == jmask or not sub & anchor:
+            rest = jmask & ~sub
+            c1 = cache[sub]
+            c2 = cache[rest]
+            for p1, pc1 in c1.pieces.items():
+                p2 = p - p1
+                pc2 = c2.pieces.get(p2)
+                if pc2 is None or pc1.rank == 0 or pc2.rank == 0:
                     continue
-                rest = jmask & ~sub
-                c1 = cache[sub]
-                c2 = cache[rest]
-                for p1, pc1 in c1.pieces.items():
-                    p2 = p - p1
-                    pc2 = c2.pieces.get(p2)
-                    if pc2 is None or pc1.rank == 0 or pc2.rank == 0:
-                        continue
-                    for i1 in range(pc1.rank):
-                        e1 = RingElement(cohom, {(sub, p1, i1): 1})
-                        for i2 in range(pc2.rank):
-                            e2 = RingElement(cohom, {(rest, p2, i2): 1})
-                            prod = cup_product(e1, e2)
-                            vec = [0] * piece.rank
-                            for (jm, pp, idx), c in prod.terms.items():
-                                if jm == jmask and pp == p:
-                                    vec[idx] = c
-                            if any(vec):
-                                vectors.append(vec)
-            if coeffs == "q":
-                span = rank_z(vectors)
-            else:
-                span = gf2_rank([gf2_vector(vec) for vec in vectors])
-            coker = piece.rank - span
-            if coker:
-                report[ell] = report.get(ell, 0) + coker
+                for i1 in range(pc1.rank):
+                    e1 = RingElement(cohom, {(sub, p1, i1): 1})
+                    for i2 in range(pc2.rank):
+                        e2 = RingElement(cohom, {(rest, p2, i2): 1})
+                        prod = cup_product(e1, e2)
+                        vec = [0] * piece.rank
+                        for (jm, pp, idx), c in prod.terms.items():
+                            if jm == jmask and pp == p:
+                                vec[idx] = c
+                        if any(vec):
+                            vectors.append(vec)
+        coker = piece.rank - _field_rank(vectors, coeffs)
+        if coker:
+            report[ell] = report.get(ell, 0) + coker
     if wanted is not None:
         for ell in wanted:
             report.setdefault(ell, 0)
@@ -801,14 +746,7 @@ def annihilator_dim(
     of J into the components J | D for the multidegrees D of the terms of x,
     so the rank of the multiplication map is a sum of small block ranks.
     """
-    if coeffs not in ("q", "z2"):
-        raise ValueError("coeffs must be 'q' or 'z2'")
-    if cohom is None:
-        cohom = MultigradedCohomology(
-            dual_complex(P), "Z" if coeffs == "q" else "Z2"
-        ).compute_all()
-    else:
-        cohom.compute_all()
+    cohom = _field_cohomology(P, coeffs, cohom)
     if x.cohom is not cohom:
         raise ValueError("BasisMismatch: element over a different cohomology")
     total = cohom.total_dim()
@@ -855,8 +793,5 @@ def annihilator_dim(
             for t, c in tgts.items():
                 col[row_idx[t]] = c
             cols.append(col)
-        if coeffs == "z2":
-            rank_total += gf2_rank([gf2_vector(col) for col in cols])
-        else:
-            rank_total += rank_z(cols)
+        rank_total += _field_rank(cols, coeffs)
     return total - rank_total

@@ -242,19 +242,24 @@ def _expressions(P, base, rows, ring: str):
     return basis, exprs
 
 
-def qt_ring(P, L: CharMatrix) -> QTRingPresentation:
-    """Cohomology ring of the quasitoric manifold M(P, L) as evaluation data."""
-    if L.ring != "Z":
-        raise ValueError("qt_ring expects an integer matrix; use sc_ring for Z2")
+def _presentation(cls, P, L: CharMatrix):
+    """The evaluation data of (P, L) as a ``cls`` instance."""
     ok, vert = is_characteristic(P, L)
     if not ok:
         raise NotCharacteristic(f"matrix fails the vertex condition at {vert}")
     base, rows = _normalised_rows(P, L)
     basis, exprs = _expressions(P, base, rows, L.ring)
-    ring = QTRingPresentation(
+    return cls(
         P=P, L=L, base_vertex=base, basis_facets=basis, expressions=exprs,
         top=_TopForm(P, rows, L.ring),
     )
+
+
+def qt_ring(P, L: CharMatrix) -> QTRingPresentation:
+    """Cohomology ring of the quasitoric manifold M(P, L) as evaluation data."""
+    if L.ring != "Z":
+        raise ValueError("qt_ring expects an integer matrix; use sc_ring for Z2")
+    ring = _presentation(QTRingPresentation, P, L)
     _check_evaluations(ring)
     return ring
 
@@ -263,15 +268,7 @@ def sc_ring(P, L2: CharMatrix) -> SmallCoverRing:
     """Z2 cohomology ring of the small cover N(P, L2)."""
     if L2.ring != "Z2":
         raise ValueError("sc_ring expects a Z2 matrix")
-    ok, vert = is_characteristic(P, L2)
-    if not ok:
-        raise NotCharacteristic(f"matrix fails the vertex condition at {vert}")
-    base, rows = _normalised_rows(P, L2)
-    basis, exprs = _expressions(P, base, rows, L2.ring)
-    return SmallCoverRing(
-        P=P, L=L2, base_vertex=base, basis_facets=basis, expressions=exprs,
-        top=_TopForm(P, rows, L2.ring),
-    )
+    return _presentation(SmallCoverRing, P, L2)
 
 
 def _check_evaluations(ring: QTRingPresentation) -> None:
@@ -280,8 +277,6 @@ def _check_evaluations(ring: QTRingPresentation) -> None:
     signs come from the caller's L, not the normalised rows the top form was
     built from, so the check stays independent of that construction."""
     P, L = ring.P, ring.L
-    if L.ring != "Z":
-        return
     c0 = _oriented_det_sign(P, L, ring.base_vertex)
     for vert in P.vertex_tuples:
         want = _oriented_det_sign(P, L, vert) * c0
@@ -323,10 +318,6 @@ def _eval_match_witness(R1: QTRingPresentation, R2: QTRingPresentation, sigma):
         v1 = R1.top(mo)
         target = tuple(sorted(sigma[i] for i in mo))
         v2 = R2.top(target)
-        if R1.ring == "Z2":
-            if (v1 - v2) % 2:
-                return None
-            continue
         if abs(v1) != abs(v2):
             return None
         if v1 == 0:
@@ -339,8 +330,6 @@ def _eval_match_witness(R1: QTRingPresentation, R2: QTRingPresentation, sigma):
             ech.add(v, rhs)
         elif rhs:  # 0 = 1: inconsistent
             return None
-    if R1.ring == "Z2":
-        return GeneratorWitness(sigma=dict(sigma), eps=(1,) * m, delta=1)
     x = ech.solve()
     eps = tuple(-1 if x >> (i - 1) & 1 else 1 for i in range(1, m + 1))
     delta = -1 if x >> m & 1 else 1
@@ -366,12 +355,13 @@ def ring_isomorphic(
     v_i -> eps_i v'_sigma(i) matching all n-fold evaluations.  A negative
     verdict decides ring isomorphism only over a Pogorelov base, where every
     ring isomorphism is generator-restricted; the sound_negative flag records
-    this boundary.
+    this boundary.  Z2 rings (``sc_ring``) raise ModeUnsupported: they are
+    decided by ``sc_isomorphic``.
     """
     if R1.n != R2.n:
         raise ModeUnsupported("mixed dimensions")
-    if R1.ring != R2.ring:
-        raise ModeUnsupported("mixed coefficient rings")
+    if R1.ring == "Z2" or R2.ring == "Z2":
+        raise ModeUnsupported("ring_isomorphic decides integer rings; use sc_isomorphic for Z2")
     sound = R1.n == 3 and isinstance(R1.P, SimplePolytope) and is_pogorelov(R1.P)
     if mode == "pair-equivalence":
         w = pairs_equivalent(R1.P, R1.L, R2.P, R2.L)
@@ -398,25 +388,23 @@ def ring_isomorphic(
     )
 
 
-def sc_isomorphic(
-    N1: SmallCoverRing, N2: SmallCoverRing, mode: str = "pair-equivalence"
-) -> IsoDecision:
+def sc_isomorphic(N1: SmallCoverRing, N2: SmallCoverRing) -> IsoDecision:
     """Decide Z2-cohomology ring isomorphism of two small covers.
 
-    Both modes reduce to equivalence of the Z2-characteristic pairs: the
-    Z2 ring is the quasitoric ring with halved grading, and a generator map
+    This is equivalence of the Z2-characteristic pairs: the Z2 ring is the
+    quasitoric ring with halved grading, and a generator map
     v_i -> v'_sigma(i) is a ring isomorphism exactly when some A in GL(3,Z2)
-    matches the matrices, so the searches coincide.
+    matches the matrices.
     """
+    if N1.ring != "Z2" or N2.ring != "Z2":
+        raise ModeUnsupported("sc_isomorphic decides Z2 rings; use ring_isomorphic for qt_ring")
     if N1.n != N2.n:
         raise ModeUnsupported("mixed dimensions")
     sound = N1.n == 3 and isinstance(N1.P, SimplePolytope) and is_pogorelov(N1.P)
-    if mode not in ("pair-equivalence", "generator-restricted"):
-        raise ModeUnsupported(f"unknown mode: {mode}")
     w = pairs_equivalent(N1.P, N1.L, N2.P, N2.L)
     return IsoDecision(
         isomorphic=w is not None,
-        mode=mode,
+        mode="pair-equivalence",
         witness=w,
         sound_negative=sound,
         note="Z2 characteristic pair equivalence",

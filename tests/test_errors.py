@@ -32,3 +32,4 @@ def test_shared_errors_come_from_one_module():
     assert characteristic.SizeGuard is macohomology.SizeGuard is errors.SizeGuard
     assert polytope.InvariantViolation is manifolds.InvariantViolation is errors.InvariantViolation
     assert issubclass(macohomology.InternalMismatch, errors.InvariantViolation)
+    assert issubclass(characteristic.LiftFailed, errors.InvariantViolation)

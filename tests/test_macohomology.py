@@ -1,5 +1,4 @@
 import gc
-import itertools
 import weakref
 
 import pytest
@@ -13,6 +12,7 @@ from pogorelov.macohomology import (
     KoszulMonomial,
     MultigradedCohomology,
     RingElement,
+    _r_matrix,
     annihilator_dim,
     betti_numbers,
     cohomology,
@@ -20,7 +20,7 @@ from pogorelov.macohomology import (
     decomposability_report,
     h3_basis,
     h3_square_trivial,
-    r_complex,
+    r_basis,
 )
 from pogorelov.polytope import catalog, dual_complex
 
@@ -37,30 +37,28 @@ def coh_dodeca():
     return cohomology(dual_complex(catalog("dodecahedron")), "Z")
 
 
-def test_r_complex_basics():
-    rc = r_complex(TWO_SEGMENTS)
+def test_r_complex_basics(coh_two_segments):
     # d(u_i) = v_i on singleton multidegrees
-    assert rc.d({0: 1}, (1,)) == {1 << 0: 1}
-    # empty multidegree: basis {1}, zero differential
-    basis = rc.basis(())
-    assert basis == {0: [KoszulMonomial(J=(), I=())]}
-    assert rc.d({0: 1}, ()) == {}
-
-
-def test_r_complex_d_squared_zero():
-    rc = r_complex(TWO_SEGMENTS)
-    for r in range(5):
-        for J in itertools.combinations(range(1, 5), r):
-            assert rc.check_d_squared(J)
+    basis = r_basis(TWO_SEGMENTS, (1,))
+    assert basis == {0: [0], 1: [1 << 0]}
+    assert _r_matrix(basis, 1 << 0, 0) == [[1]]
+    # empty multidegree: basis {1}, zero differential, the class of 1 is the unit
+    basis = r_basis(TWO_SEGMENTS, ())
+    assert basis == {0: [0]}
+    assert _r_matrix(basis, 0, 0) == [[]]
+    assert coh_two_segments.from_chain((), {(): 1}) == coh_two_segments.unit()
 
 
 def test_degree5_generator_of_example_complex(coh_two_segments):
     # the difference u1u2u4 v3 - u1u2u3 v4 is a cocycle generating H^5;
     # the monomials themselves are not cocycles
-    rc = r_complex(TWO_SEGMENTS)
     full = (1, 2, 3, 4)
-    assert rc.d({(1 << 2): 1, (1 << 3): -1}, full) == {}
-    assert rc.d({(1 << 2): 1}, full) != {}
+    basis = r_basis(TWO_SEGMENTS, full)
+    d = dict(zip(basis[1], _r_matrix(basis, 0b1111, 1)))
+    assert not any(a - b for a, b in zip(d[1 << 2], d[1 << 3]))
+    assert any(d[1 << 2])
+    with pytest.raises(ValueError, match="not a cocycle"):
+        coh_two_segments.from_chain(full, {(3,): 1})
     gen = coh_two_segments.from_chain(full, {(3,): 1, (4,): -1})
     ((key, coeff),) = gen.terms.items()
     assert coeff in (1, -1)
@@ -397,6 +395,21 @@ def test_monomial_formatting():
     assert str(mono) == "u1 u2 v3"
     assert mono.degree == 4
     assert str(KoszulMonomial(J=(), I=())) == "1"
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Z2"])
+def test_monomials_round_trip_through_from_chain(coeffs):
+    H = cohomology(dual_complex(catalog("cube")), coeffs)
+    classes = list(H.basis_classes())
+    assert len(classes) == 8
+    for jm, p, i in classes:
+        x = RingElement(H, {(jm, p, i): 1})
+        monos = x.monomials()
+        assert monos
+        for c, mo in monos:
+            assert c and sum(1 << (f - 1) for f in mo.J + mo.I) == jm
+            assert mo.degree == jm.bit_count() + p
+        assert H.from_chain(jm, {mo.I: c for c, mo in monos}) == x
 
 
 def test_ring_element_terms_are_read_only_and_chains_cached():

@@ -314,9 +314,24 @@ def test_sc_isomorphic_distinct_classes_barrel6():
     classes = list(reps.values())
     rings = [sc_ring(Q6, colouring_to_matrix(chi).reduce_mod2()) for chi in classes]
     for a, b in itertools.combinations(range(4), 2):
-        for mode in ("pair-equivalence", "generator-restricted"):
-            assert not sc_isomorphic(rings[a], rings[b], mode).isomorphic
+        assert not sc_isomorphic(rings[a], rings[b]).isomorphic
     assert sc_isomorphic(rings[0], rings[0]).isomorphic
+
+
+def test_each_decision_rejects_the_other_coefficient_ring():
+    D = catalog("dodecahedron")
+    L = colouring_to_matrix(enumerate_colourings(D)[0])
+    R, N = qt_ring(D, L), sc_ring(D, L.reduce_mod2())
+    with pytest.raises(ModeUnsupported, match="ring_isomorphic"):
+        sc_isomorphic(R, R)
+    with pytest.raises(ModeUnsupported, match="ring_isomorphic"):
+        sc_isomorphic(N, R)
+    for mode in ("pair-equivalence", "generator-restricted"):
+        with pytest.raises(ModeUnsupported, match="sc_isomorphic"):
+            ring_isomorphic(N, N, mode)
+        with pytest.raises(ModeUnsupported, match="sc_isomorphic"):
+            ring_isomorphic(R, N, mode)
+    assert sc_isomorphic(N, N).isomorphic and ring_isomorphic(R, R).isomorphic
 
 
 def _shear_scramble(L, rng):

@@ -4,8 +4,9 @@
 cohomology, torsion included, and against the three-pass construction it
 replaced, kept here as the reference: `kernel_basis` of d_out, an exact
 solve in that kernel basis by its own Smith pass, and `ZQuotient`.
-`_r_matrix` is checked against a per-entry reference, and `from_chain`
-against chains that are not cocycles or not in the level's basis.
+`_r_matrix` is checked against a per-entry reference built on
+`_exterior_sign`, and `from_chain` against chains that are not cocycles or
+not in the level's basis.
 """
 
 import random
@@ -16,7 +17,6 @@ from pogorelov import _intlinalg, macohomology
 from pogorelov._intlinalg import ZQuotient, diagonalize, invariant_factors, kernel_basis
 from pogorelov.macohomology import (
     MultigradedCohomology,
-    _exterior_sign,
     _PieceZ,
     _r_matrix,
     r_basis,
@@ -24,6 +24,7 @@ from pogorelov.macohomology import (
 )
 from pogorelov.polytope import catalog, dual_complex
 from test_complex import RP2
+from test_macohomology import TWO_SEGMENTS
 
 # -- random cochain complexes with known cohomology ---------------------------
 
@@ -218,6 +219,12 @@ def test_rp2_torsion_summary_is_pinned():
 # -- the differentials ------------------------------------------------------------
 
 
+def _exterior_sign(jmask: int, j: int) -> int:
+    """Sign (-1)^(r-1) for j at position r of the set jmask, increasing order."""
+    below = jmask & ((1 << j) - 1)
+    return -1 if below.bit_count() % 2 else 1
+
+
 def _r_rows_reference(basis, jmask, p):
     """d: level p -> level p+1 entry by entry, rows = level p+1."""
     lo, hi = basis.get(p, []), basis.get(p + 1, [])
@@ -230,9 +237,10 @@ def _r_rows_reference(basis, jmask, p):
     return rows
 
 
-@pytest.mark.parametrize("name,k", [("cube", None), ("prism", 5)])
+@pytest.mark.parametrize("name,k", [("cube", None), ("prism", 5), ("two-segments", None)])
 def test_r_matrix_columns_match_the_entrywise_reference_and_square_to_zero(name, k):
-    K = dual_complex(catalog(name, k))
+    # two disjoint segments are no 2-sphere: an input off the polytope duals
+    K = TWO_SEGMENTS if name == "two-segments" else dual_complex(catalog(name, k))
     for jmask in range(1 << K.m):
         basis = r_basis(K, jmask)
         cols = {p: _r_matrix(basis, jmask, p) for p in range(-1, jmask.bit_count() + 1)}
