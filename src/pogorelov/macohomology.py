@@ -350,6 +350,8 @@ class MultigradedCohomology:
         jmask = _mask(J)
         comp = self._components.get(jmask)
         if comp is None:
+            if jmask >> self.K.m:
+                raise ValueError(f"vertex {jmask.bit_length()} lies above m = {self.K.m}")
             comp = self._components[jmask] = Component(self.K, self.coeffs, jmask)
         return comp
 
@@ -464,6 +466,8 @@ class MultigradedCohomology:
         return RingElement(self, terms)
 
     def h3_class(self, i: int, j: int) -> "RingElement":
+        if i == j:
+            raise ValueError(f"u{i}v{j} needs two distinct vertices")
         if self.K.has_face((i, j)):
             raise ValueError(f"facets {i},{j} are adjacent; u{i}v{j} is not a cocycle")
         return self.from_chain((i, j), {(j,): 1})
@@ -628,12 +632,11 @@ def h3_basis(K: SimplicialComplex) -> list[tuple[int, int]]:
     return out
 
 
-def h3_square_trivial(P: SimplePolytope, cohom: MultigradedCohomology | None = None) -> bool:
+def h3_square_trivial(P: SimplePolytope) -> bool:
     """True iff every product of two H^3 classes vanishes; by the 4-belt
     criterion this happens exactly when P has no 4-belt."""
     K = dual_complex(P)
-    if cohom is None:
-        cohom = MultigradedCohomology(K, "Z")
+    cohom = MultigradedCohomology(K, "Z")
     pairs = h3_basis(K)
     classes = {pr: cohom.h3_class(*pr) for pr in pairs}
     for pr1, pr2 in itertools.combinations(pairs, 2):
@@ -644,33 +647,56 @@ def h3_square_trivial(P: SimplePolytope, cohom: MultigradedCohomology | None = N
     return True
 
 
-def _field_cohomology(
-    P: SimplePolytope, coeffs: str, cohom: MultigradedCohomology | None
-) -> MultigradedCohomology:
-    """The full cohomology behind a rank over the field 'q' (from Z) or 'z2'."""
-    if coeffs not in ("q", "z2"):
-        raise ValueError("coeffs must be 'q' or 'z2'")
-    if cohom is None:
-        cohom = MultigradedCohomology(dual_complex(P), "Z" if coeffs == "q" else "Z2")
-    return cohom.compute_all()
+def _rank(columns, coeffs: str) -> int:
+    """Rank of the matrix with these columns, each a mapping row -> integer
+    entry (as ``RingElement.terms``): over Q when coeffs is "Z", over GF(2)
+    when it is "Z2".
 
+    Columns linked through shared rows form a block, and two blocks share no
+    row, so the rank is the sum of the block ranks, each block ranked on its
+    own rows."""
+    parent = {}
 
-def _field_rank(vectors: list[list[int]], coeffs: str) -> int:
-    """Rank of integer vectors over Q ('q') or of their reductions over GF(2)."""
-    if coeffs == "q":
-        return rank_z(vectors)
-    return gf2_rank([gf2_vector(vec) for vec in vectors])
+    def find(r):
+        parent.setdefault(r, r)
+        while parent[r] != r:
+            parent[r] = parent[parent[r]]
+            r = parent[r]
+        return r
+
+    columns = [col for col in columns if col]
+    for col in columns:
+        rows = iter(col)
+        root = find(next(rows))
+        for r in rows:
+            parent[find(r)] = root
+    blocks = {}
+    for col in columns:
+        blocks.setdefault(find(next(iter(col))), []).append(col)
+    total = 0
+    for block in blocks.values():
+        index = {}
+        for col in block:
+            for r in col:
+                index.setdefault(r, len(index))
+        # the block's columns, taken as rows: a transpose has the same rank
+        vecs = []
+        for col in block:
+            vec = [0] * len(index)
+            for r, c in col.items():
+                vec[index[r]] = c
+            vecs.append(vec)
+        total += rank_z(vecs) if coeffs == "Z" else gf2_rank([gf2_vector(v) for v in vecs])
+    return total
 
 
 def decomposability_report(
-    P: SimplePolytope,
-    coeffs: str = "q",
-    degrees=None,
-    levels=None,
-    cohom: MultigradedCohomology | None = None,
+    cohom: MultigradedCohomology, degrees=None, levels=None
 ) -> dict[int, int]:
     """For each total degree, the dimension of the cokernel of the product
-    map from lower degrees (over the field Q or Z2).
+    map from lower degrees.  Ranks are taken over Q when ``cohom.coeffs`` is
+    "Z" and over GF(2) when it is "Z2"; every component of ``cohom`` is
+    built (``compute_all``).
 
     degrees: optional iterable restricting the reported total degrees.
     levels: optional iterable of component levels p (p-1 = reduced degree of
@@ -678,11 +704,10 @@ def decomposability_report(
     top parts, which is where full decomposability is expected for flag
     polytopes.
     """
-    cohom = _field_cohomology(P, coeffs, cohom)
     wanted = set(degrees) if degrees is not None else None
     level_set = set(levels) if levels is not None else None
     report: dict[int, int] = {}
-    cache: dict[int, Component] = cohom._components
+    components = cohom._components  # every multidegree, once the walk has begun
     for jmask, p, piece in cohom._built_pieces():
         if jmask == 0 or piece.rank == 0:
             continue
@@ -691,32 +716,24 @@ def decomposability_report(
         ell = jmask.bit_count() + p
         if wanted is not None and ell not in wanted:
             continue
-        # span of products of positive-degree classes landing here
-        vectors = []
+        # products of classes of (sub, p1) and (J \ sub, p - p1), both of
+        # positive degree, land in (J, p) alone
+        columns = []
         anchor = jmask & -jmask
         for sub in _submasks(jmask):
             if sub == 0 or sub == jmask or not sub & anchor:
                 continue
             rest = jmask & ~sub
-            c1 = cache[sub]
-            c2 = cache[rest]
-            for p1, pc1 in c1.pieces.items():
-                p2 = p - p1
-                pc2 = c2.pieces.get(p2)
-                if pc2 is None or pc1.rank == 0 or pc2.rank == 0:
+            for p1, pc1 in components[sub].pieces.items():
+                pc2 = components[rest].pieces.get(p - p1)
+                if pc2 is None or pc2.rank == 0:
                     continue
                 for i1 in range(pc1.rank):
                     e1 = RingElement(cohom, {(sub, p1, i1): 1})
                     for i2 in range(pc2.rank):
-                        e2 = RingElement(cohom, {(rest, p2, i2): 1})
-                        prod = cup_product(e1, e2)
-                        vec = [0] * piece.rank
-                        for (jm, pp, idx), c in prod.terms.items():
-                            if jm == jmask and pp == p:
-                                vec[idx] = c
-                        if any(vec):
-                            vectors.append(vec)
-        coker = piece.rank - _field_rank(vectors, coeffs)
+                        e2 = RingElement(cohom, {(rest, p - p1, i2): 1})
+                        columns.append(cup_product(e1, e2).terms)
+        coker = piece.rank - _rank(columns, cohom.coeffs)
         if coker:
             report[ell] = report.get(ell, 0) + coker
     if wanted is not None:
@@ -734,64 +751,20 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def annihilator_dim(
-    P: SimplePolytope,
-    x: RingElement,
-    coeffs: str = "z2",
-    cohom: MultigradedCohomology | None = None,
-) -> int:
-    """Dimension over the field of {y : x*y = 0} in the total cohomology.
+def annihilator_dim(x: RingElement) -> int:
+    """Dimension of {y : x*y = 0} in the total cohomology of x's ring
+    ``x.cohom``: over Q when its coeffs are "Z", over GF(2) when they are
+    "Z2".  Every component of that ring is built (``compute_all``).
 
-    Works multidegree-by-multidegree: multiplication by x maps the component
-    of J into the components J | D for the multidegrees D of the terms of x,
-    so the rank of the multiplication map is a sum of small block ranks.
+    Multiplication by x maps the component of J into the components J | D
+    for the multidegrees D of the terms of x, so ``_rank`` splits its
+    matrix into small blocks.
     """
-    cohom = _field_cohomology(P, coeffs, cohom)
-    if x.cohom is not cohom:
-        raise ValueError("BasisMismatch: element over a different cohomology")
+    cohom = x.cohom
     total = cohom.total_dim()
     if x.is_zero():
         return total
-    # columns of the multiplication map, grouped by source class
-    columns = {}  # (jmask,p,i) -> dict (target jmask, p, idx) -> coeff
-    for (jm, p, i) in cohom.basis_classes():
-        y = RingElement(cohom, {(jm, p, i): 1})
-        prod = cup_product(x, y)
-        if not prod.is_zero():
-            columns[(jm, p, i)] = prod.terms
-    # connected blocks: sources sharing any target row must be ranked together
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for src, tgts in columns.items():
-        parent.setdefault(("s", src), ("s", src))
-        for tgt in tgts:
-            key = ("t", tgt)
-            parent.setdefault(key, key)
-            union(("s", src), key)
-    groups = {}
-    for src, tgts in columns.items():
-        groups.setdefault(find(("s", src)), []).append((src, tgts))
-    rank_total = 0
-    for group in groups.values():
-        rows = sorted({t for _, tgts in group for t in tgts})
-        row_idx = {t: i for i, t in enumerate(rows)}
-        # the block's columns, taken as rows: a transpose has the same rank
-        cols = []
-        for _, tgts in group:
-            col = [0] * len(rows)
-            for t, c in tgts.items():
-                col[row_idx[t]] = c
-            cols.append(col)
-        rank_total += _field_rank(cols, coeffs)
-    return total - rank_total
+    columns = (
+        cup_product(x, RingElement(cohom, {key: 1})).terms for key in cohom.basis_classes()
+    )
+    return total - _rank(columns, cohom.coeffs)

@@ -69,7 +69,9 @@ class _TopForm:
     Smith form small whatever unimodular change L's rows went through.  Over
     Z the quotient of the face-supported monomials by the relations is
     infinite cyclic, and the value of the monomial at position ``pos`` is the
-    entry at ``pos`` of the free row of the left Smith factor."""
+    entry at ``pos`` of the free row of the left Smith factor.  ``value``
+    holds every face-supported monomial, in the order of
+    ``_face_supported_monomials``."""
 
     def __init__(self, P, rows, ring: str):
         n = P.n
@@ -310,12 +312,10 @@ def _eval_match_witness(R1: QTRingPresentation, R2: QTRingPresentation, sigma):
     """Signs eps and delta matching the full evaluation data under sigma, or
     None.  Linear system over GF(2) on the sign bits."""
     m = R1.m
-    monos = _face_supported_monomials(R1.P, R1.n)
     # unknowns: bit i-1 is set when eps_i = -1 and bit m when delta = -1; each
     # equation's right-hand side is the combination tracked by the echelon
     ech = GF2Echelon()
-    for mo in monos:
-        v1 = R1.top(mo)
+    for mo, v1 in R1.top.value.items():  # every face-supported monomial, sorted
         target = tuple(sorted(sigma[i] for i in mo))
         v2 = R2.top(target)
         if abs(v1) != abs(v2):
@@ -334,8 +334,7 @@ def _eval_match_witness(R1: QTRingPresentation, R2: QTRingPresentation, sigma):
     eps = tuple(-1 if x >> (i - 1) & 1 else 1 for i in range(1, m + 1))
     delta = -1 if x >> m & 1 else 1
     # defensive re-check of every monomial
-    for mo in monos:
-        v1 = R1.top(mo)
+    for mo, v1 in R1.top.value.items():
         target = tuple(sorted(sigma[i] for i in mo))
         sign = delta
         for i in mo:

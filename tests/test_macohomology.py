@@ -13,6 +13,7 @@ from pogorelov.macohomology import (
     MultigradedCohomology,
     RingElement,
     _r_matrix,
+    _rank,
     annihilator_dim,
     betti_numbers,
     cohomology,
@@ -23,6 +24,7 @@ from pogorelov.macohomology import (
     r_basis,
 )
 from pogorelov.polytope import catalog, dual_complex
+from test_complex import RP2, TORUS
 
 TWO_SEGMENTS = new_complex(4, [(1, 2), (3, 4)])
 
@@ -83,6 +85,23 @@ def test_h3_basis_counts():
     assert h3_basis(TWO_SEGMENTS) == [(1, 3), (1, 4), (2, 3), (2, 4)]
     assert len(h3_basis(dual_complex(catalog("dodecahedron")))) == 36
     assert h3_basis(dual_complex(catalog("simplex"))) == []
+
+
+def test_h3_class_needs_two_distinct_vertices():
+    coh = MultigradedCohomology(dual_complex(catalog("cube")), "Z")
+    with pytest.raises(ValueError, match="two distinct vertices"):
+        coh.h3_class(1, 1)
+
+
+def test_multidegree_with_a_vertex_above_m_is_rejected():
+    coh = MultigradedCohomology(dual_complex(catalog("cube")), "Z")
+    for call in (
+        lambda: coh.component((1, 9)).rank(1),
+        lambda: coh.class_element((1, 9), 1),
+    ):
+        with pytest.raises(ValueError, match="vertex 9 lies above m = 6"):
+            call()
+    assert not coh._components
 
 
 def test_h3_rank_equals_nonadjacent_pairs():
@@ -242,12 +261,26 @@ def _record_builds_and_checks(monkeypatch):
     return built, checked, route2
 
 
+def _record_cohomologies(monkeypatch, keep=lambda H: H):
+    """``keep(H)`` for every MultigradedCohomology H that macohomology creates."""
+    made = []
+
+    class Recording(MultigradedCohomology):
+        def __init__(self, K, coeffs="Z"):
+            super().__init__(K, coeffs)
+            made.append(keep(self))
+
+    monkeypatch.setattr(macohomology, "MultigradedCohomology", Recording)
+    return made
+
+
 def test_h3_square_trivial_builds_one_piece_per_component(monkeypatch):
     built, checked, route2 = _record_builds_and_checks(monkeypatch)
+    made = _record_cohomologies(monkeypatch)
     P = catalog("dodecahedron")
     K = dual_complex(P)
-    H = MultigradedCohomology(K, "Z")
-    assert h3_square_trivial(P, H)
+    assert h3_square_trivial(P)
+    (H,) = made
     # the 36 H^3 classes read level 1 of |J| = 2; every product target counts zero
     want = {(1 << (i - 1) | 1 << (j - 1), 1) for i, j in h3_basis(K)}
     assert len(want) == 36
@@ -323,15 +356,14 @@ def test_pieces_built_one_at_a_time_equal_compute_all(monkeypatch, name, k, coef
     assert fresh.torsion_summary() == ref.torsion_summary()
 
 
-def test_cohomology_is_freed_without_the_cyclic_gc():
+def test_cohomology_is_freed_without_the_cyclic_gc(monkeypatch):
     P = catalog("prism", 5)
+    made = _record_cohomologies(monkeypatch, keep=weakref.ref)
     gc.disable()
     try:
-        H = MultigradedCohomology(dual_complex(P), "Z")
-        ref = weakref.ref(H)
-        assert not h3_square_trivial(P, H)
-        assert H._components
-        del H
+        assert not h3_square_trivial(P)
+        # the call's own cohomology, with its components, is gone once it returns
+        (ref,) = made
         assert ref() is None
     finally:
         gc.enable()
@@ -353,28 +385,71 @@ def test_decomposability_triple_truncated_simplex():
     for _ in range(3):
         P = vertex_truncate(P, P.vertex_tuples[0])
     assert not is_flag_polytope(P)
-    rep = decomposability_report(P, "q", degrees=[P.m - 2])
+    rep = decomposability_report(cohomology(dual_complex(P), "Z"), degrees=[P.m - 2])
     assert rep[P.m - 2] > 0
 
 
 def test_decomposability_flag_polytopes_h1_parts():
     for name, k in (("cube", None), ("prism", 5), ("prism", 6)):
-        P = catalog(name, k)
-        assert decomposability_report(P, "q", levels=(2, 3)) == {}
+        K = dual_complex(catalog(name, k))
+        for coeffs in ("Z", "Z2"):
+            assert decomposability_report(cohomology(K, coeffs), levels=(2, 3)) == {}
 
 
 def test_decomposability_degree_m_minus_2_flag():
     for name, k in (("cube", None), ("prism", 5), ("prism", 6)):
-        P = catalog(name, k)
-        rep = decomposability_report(P, "q", degrees=[P.m - 2])
-        assert rep[P.m - 2] == 0
+        K = dual_complex(catalog(name, k))
+        for coeffs in ("Z", "Z2"):
+            rep = decomposability_report(cohomology(K, coeffs), degrees=[K.m - 2])
+            assert rep[K.m - 2] == 0
+
+
+def test_rank_is_over_the_field_of_the_coefficients_and_splits_into_blocks():
+    # a triangle of rows: dependent mod 2, independent over Q
+    triangle = [{"a": 1, "b": 1}, {"b": 1, "c": 1}, {"a": 1, "c": 1}]
+    assert (_rank(triangle, "Z"), _rank(triangle, "Z2")) == (3, 2)
+    assert (_rank([{"a": 2}], "Z"), _rank([{"a": 2}], "Z2")) == (1, 0)
+    # columns on disjoint rows add their ranks; empty columns count nothing
+    blocks = triangle + [{}, {"d": 1, "e": 1}, {"d": 3, "e": 3}, {"f": -1}]
+    assert (_rank(blocks, "Z"), _rank(blocks, "Z2")) == (5, 4)
+    assert _rank(iter(blocks), "Z") == 5
+
+
+@pytest.mark.parametrize(
+    "K,coeffs,want",
+    [
+        # H*(Z_RP2; Z) has 2-torsion in degree 9, which over Z2 gives one
+        # more indecomposable class in each of degrees 8 and 9
+        (RP2, "Z", {5: 10, 6: 15, 7: 6}),
+        (RP2, "Z2", {5: 10, 6: 15, 7: 6, 8: 1, 9: 1}),
+        (TORUS, "Z", {5: 21, 6: 49, 7: 42, 8: 14, 9: 2, 10: 1}),
+        (TORUS, "Z2", {5: 21, 6: 49, 7: 42, 8: 14, 9: 2, 10: 1}),
+    ],
+    ids=["RP2-Z", "RP2-Z2", "torus-Z", "torus-Z2"],
+)
+def test_decomposability_report_off_2_spheres(K, coeffs, want):
+    assert decomposability_report(cohomology(K, coeffs)) == want
 
 
 def test_annihilator_extremes(coh_dodeca):
-    D = catalog("dodecahedron")
-    total = coh_dodeca.total_dim()
-    assert annihilator_dim(D, RingElement(coh_dodeca, {}), "q", cohom=coh_dodeca) == total
-    assert annihilator_dim(D, coh_dodeca.unit(), "q", cohom=coh_dodeca) == 0
+    # zero annihilates every class and the unit none, over Z and over Z2;
+    # RP2's Z2 ring is larger than its free Z part (torsion)
+    rings = [
+        (coh_dodeca, coh_dodeca.total_dim()),
+        (cohomology(RP2, "Z"), 32),
+        (cohomology(RP2, "Z2"), 34),
+    ]
+    for H, total in rings:
+        assert annihilator_dim(RingElement(H, {})) == total
+        assert annihilator_dim(H.unit()) == 0
+
+
+def test_annihilator_dim_completes_the_ring_of_its_element():
+    # the element's ring need not be built in full beforehand
+    K = dual_complex(catalog("cube"))
+    lazy = MultigradedCohomology(K, "Z2")
+    x = lazy.h3_class(1, 2)
+    assert annihilator_dim(x) == annihilator_dim(cohomology(K, "Z2").h3_class(1, 2))
 
 
 def test_annihilator_lemma_inequality_z2():
@@ -384,9 +459,9 @@ def test_annihilator_lemma_inequality_z2():
     samples = [(pairs[0], pairs[7]), (pairs[3], pairs[20]), (pairs[11], pairs[30])]
     for pr1, pr2 in samples:
         alpha = coh2.h3_class(*pr1) + coh2.h3_class(*pr2)
-        d_alpha = annihilator_dim(D, alpha, "z2", cohom=coh2)
+        d_alpha = annihilator_dim(alpha)
         for pr in (pr1, pr2):
-            d_single = annihilator_dim(D, coh2.h3_class(*pr), "z2", cohom=coh2)
+            d_single = annihilator_dim(coh2.h3_class(*pr))
             assert d_single > d_alpha
 
 
