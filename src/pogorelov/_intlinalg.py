@@ -188,8 +188,13 @@ def invariant_factors(A) -> list[int]:
     if not A or not A[0]:
         return []
     D, _, _, _ = diagonalize(A)
-    diag = [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
-    # normalize divisibility
+    return divisibility_form(D[i][i] for i in range(min(len(D), len(D[0]))))
+
+
+def divisibility_form(diag) -> list[int]:
+    """The invariant factors d1 | d2 | ... of a diagonal matrix, given its
+    diagonal: diag(2, 3) gives [1, 6]."""
+    diag = [abs(d) for d in diag if d]
     changed = True
     while changed:
         changed = False

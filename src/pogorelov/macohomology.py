@@ -6,16 +6,27 @@ with I a face.  The component of multidegree M splits off a finite cochain
 complex whose cohomology in level p = |I| equals the reduced simplicial
 cohomology of the full subcomplex K_M in degree p - 1 (Hochster).  That
 complex is ``r_basis`` (the faces of each level) with the differential
-``_r_matrix`` (as columns); every piece is built from these two.  Whenever
-a piece is built it is compared with that second route, so a disagreement
-(which would mean a bug) raises InternalMismatch instead of propagating.
-When K is a simplicial 2-sphere (the dual of a simple 3-polytope) the second
-route is counting: components, edges and triangles of K_M give its ranks
-and there is no torsion.  For any other K it is the cohomology of K_M by
-Smith form (or GF(2) elimination).
-Pieces are built level by level on first use: a product reads one level of
-its target multidegree and builds only that one, and on a 2-sphere it skips
-a target level whose counted rank is zero without building it.
+``_r_matrix`` (as columns); everything below is built from these two.
+
+Each level has numbers (its rank and torsion) and, on demand, a piece (its
+cocycle representatives and a projection onto its classes).  The numbers
+come from one untracked Smith pass per differential over Z, a GF(2) rank
+over Z2, each shared by the two levels it touches.  Betti numbers, torsion
+and the size guard read only these.  A piece takes a tracked Smith pass and
+a quotient pass of its own (GF(2) elimination over Z2), and is built only
+for a level that a class is projected onto or read from: ``from_chain``,
+``h3_class``, ``cup_product`` and ``RingElement.chains``.
+
+Whenever a level's numbers are first known they are compared with a second
+route, so a disagreement (which would mean a bug) raises InternalMismatch
+instead of propagating; the two differentials around the level are checked
+to compose to zero as well.  When K is a simplicial 2-sphere (the dual of a
+simple 3-polytope) the second route is counting: components, edges and
+triangles of K_M give its ranks and there is no torsion.  For any other K it
+is the cohomology of K_M by Smith form (or GF(2) elimination).  A piece must
+agree with its level's numbers; a piece built before them supplies them.
+Products build only the levels they land in, and on a 2-sphere they skip a
+target level whose counted rank is zero without building it.
 
 Products are computed monomial-wise in R*(K) and re-expressed in the chosen
 cohomology basis by reduction modulo coboundaries; no full multiplication
@@ -32,9 +43,11 @@ from ._intlinalg import (
     GF2Echelon,
     ZQuotient,
     diagonalize,
+    divisibility_form,
     gf2_kernel,
     gf2_rank,
     gf2_vector,
+    invariant_factors,
     rank_z,
 )
 from .complex import (
@@ -54,6 +67,8 @@ from .polytope import SimplePolytope, dual_complex
 class InternalMismatch(InvariantViolation):
     """The two cohomology routes disagree; signals a bug, not a user error."""
 
+
+_UNIT = frozenset((-1, 0, 1))
 
 # guards of MultigradedCohomology.compute_all; its docstring says why
 _MAX_VERTICES_FULL = 20
@@ -139,14 +154,18 @@ def r_differential(K: SimplicialComplex, J, p: int) -> list[list[int]]:
 
 
 class _PieceZ:
-    """Level p of one multidegree over Z: ker d_out / im d_in.
+    """Level p of one multidegree over Z, with coordinates: ker d_out / im d_in.
 
-    One Smith pass over d_out^T gives a unimodular S with S d_out^T T
-    diagonal of rank r.  The coordinate map is z -> z S^-1: z equals its
-    coordinates times the rows of S, and rows r.. of S span the saturated
-    lattice ker d_out, so z is a cocycle iff its first r coordinates are 0,
-    and then the rest are its coordinates in that kernel basis.  A second
-    pass (``ZQuotient``) presents the kernel modulo the image of d_in.
+    Built only for a caller that projects a cocycle (``Component.piece``);
+    the rank and torsion alone come from ``Component.numbers``.  One tracked
+    Smith pass over d_out^T gives a unimodular S with S d_out^T T diagonal
+    of rank r.  The coordinate map is z -> z S^-1: z equals its coordinates
+    times the rows of S, and rows r.. of S span the saturated lattice
+    ker d_out, so z is a cocycle iff its first r coordinates are 0, and then
+    the rest are its coordinates in that kernel basis.  A second pass
+    (``ZQuotient``) presents the kernel modulo the image of d_in.  Its
+    ``torsion`` lists the moduli of the torsion coordinates of ``project``,
+    which need not be in divisibility form: diag(2, 3) presents Z6.
     """
 
     __slots__ = ("basis", "rank", "torsion", "_r", "_sinv", "_quo", "reps")
@@ -215,7 +234,10 @@ class _PieceZ2:
         img = GF2Echelon()
         for col in d_in_cols:
             if col:
-                img.add(self._coords_of(col))
+                v, coords, _ = self._kernel_ech.reduce(col)
+                if v:
+                    raise InternalMismatch("d_out d_in is not zero")
+                img.add(coords)
         self._img_ech = img
         pivots = set(img.pivot_of)
         self._free_pos = [t for t in range(len(kernel)) if t not in pivots]
@@ -244,66 +266,165 @@ def _subcomplex_cohomology(K: SimplicialComplex, jmask: int, coeffs: str) -> Gra
 
 
 class Component:
-    """The cohomology pieces of one multidegree, each level built on first use.
+    """One multidegree J, level by level: the numbers of every level, and a
+    piece for each level that a caller projects onto.
 
-    Building piece p compares its rank and torsion with H~^{p-1}(K_J), the
-    reduced cohomology of the full subcomplex (Hochster), before returning
-    it.  On a 2-sphere K that cohomology is counted (free, ranks from
-    components, edges and triangles); otherwise it is computed from K_J.
-    The basis, the differentials and that subcomplex cohomology are
-    computed at most once and dropped once every level is built.  A
-    component holds no reference to its MultigradedCohomology, so dropping
-    the cohomology frees its components without waiting for the cyclic GC.
+    The numbers of level p are rank H^p = n_p - rk d_p - rk d_{p-1} and the
+    torsion of H^p, the invariant factors above 1 of d_{p-1}.  This is exact
+    because ker d_p is saturated and contains im d_{p-1}.  Each differential
+    d_p: level p -> p+1 gets one untracked Smith pass over Z (a GF(2) rank
+    over Z2), shared by the two levels it touches.  Before the numbers of
+    level p are used, d_p d_{p-1} = 0 is checked on the columns and the
+    numbers are compared with H~^{p-1}(K_J), the reduced cohomology of the
+    full subcomplex (Hochster).  On a 2-sphere K that cohomology is counted
+    (free, ranks from components, edges and triangles); otherwise it is
+    computed from K_J.
+
+    A piece (`_PieceZ`, `_PieceZ2`) holds cocycle representatives and
+    coordinates, and is built only by ``piece``.  If its level's numbers are
+    known, the piece must agree with them, torsion in divisibility form.
+    Otherwise the piece's own numbers are checked against route 2 and become
+    the level's, so a piece costs no pass beyond its own two.  The basis,
+    the differentials and route 2 are dropped once every level is checked; a
+    piece asked for after that works from a fresh basis.  A component holds
+    no reference to its MultigradedCohomology, so dropping the cohomology
+    frees its components without waiting for the cyclic GC.
     """
 
-    __slots__ = ("K", "coeffs", "jmask", "_pieces", "_pending", "_basis", "_mats", "_hochster")
+    __slots__ = (
+        "K", "coeffs", "jmask", "_levels", "_pieces", "_basis", "_mats", "_diffs", "_hochster"
+    )
 
     def __init__(self, K: SimplicialComplex, coeffs: str, jmask: int):
         self.K = K
         self.coeffs = coeffs
         self.jmask = jmask
-        self._pieces = {}  # level p -> piece, levels with an empty basis omitted
-        self._pending = set(range(jmask.bit_count() + 1))  # levels not yet checked
+        self._levels = {}  # level p -> (rank, torsion), checked against route 2
+        self._pieces = {}  # level p -> piece, or None when the level has no basis
         self._basis = r_basis(K, jmask)
-        self._mats = {}  # p -> differential level p -> level p+1
+        self._mats = {}  # p -> differential level p -> level p+1, as columns
+        self._diffs = {}  # p -> (rank, invariant factors above 1) of d_p
         self._hochster = None
 
+    def numbers(self, p: int) -> tuple[int, tuple[int, ...]]:
+        """(rank, torsion) of level p, computed and checked on first use."""
+        got = self._levels.get(p)
+        if got is not None:
+            return got
+        if p not in range(self.jmask.bit_count() + 1):
+            return 0, ()
+        n = len(self._basis.get(p, ()))
+        if n:
+            self._check_square(p)
+        rank_out, _ = self._diff(p)
+        rank_in, torsion = self._diff(p - 1)
+        got = (n - rank_out - rank_in, torsion)
+        self._settle(p, got)
+        self._release()
+        return got
+
     def piece(self, p: int):
-        """The piece at level p, built and checked on first use; None when the
-        level has no basis."""
-        if p not in self._pending:
-            return self._pieces.get(p)
+        """The piece at level p, built on first use and checked against the
+        level's numbers; None when the level has no basis."""
+        if p in self._pieces:
+            return self._pieces[p]
+        if p not in range(self.jmask.bit_count() + 1):
+            return None
+        if self._basis is None:  # every level is checked: work from a fresh basis
+            self._basis, self._mats = r_basis(self.K, self.jmask), {}
         lvl = self._basis.get(p)
         piece = None if lvl is None else self._build(p, lvl)
-        self._check(p, piece)
-        if piece is not None:
-            self._pieces[p] = piece  # zero pieces kept: projections still need them
-        self._pending.discard(p)
-        if not self._pending:
-            self._basis = self._mats = self._hochster = None
-            self._pending = ()  # shared, where an emptied set keeps its table
+        got = (piece.rank, _normal(piece.torsion)) if piece else (0, ())
+        want = self._levels.get(p)
+        if want is None:
+            self._settle(p, got)
+        elif got != want:
+            raise InternalMismatch(
+                f"{self._where(p)}: piece gives {got}, the level's numbers are {want}"
+            )
+        self._pieces[p] = piece  # zero pieces kept: projections still need them
+        self._release()
         return piece
 
     @property
     def pieces(self) -> dict:
         """Every level with a basis -> its piece, building those not built yet."""
-        for p in sorted(self._pending):
-            self.piece(p)
-        return self._pieces
+        out = {}
+        for p in range(self.jmask.bit_count() + 1):
+            piece = self.piece(p)
+            if piece is not None:
+                out[p] = piece
+        return out
 
     def rank(self, p: int) -> int:
-        piece = self.piece(p)
-        return piece.rank if piece else 0
+        return self.numbers(p)[0]
 
     def torsion(self, p: int) -> tuple[int, ...]:
-        piece = self.piece(p)
-        return piece.torsion if piece else ()
+        return self.numbers(p)[1]
+
+    def _settle(self, p: int, got) -> None:
+        """Check level p's numbers against route 2 and keep them."""
+        self._check(p, got)
+        self._levels[p] = got
+
+    def _release(self) -> None:
+        """Drop the work data once every level is checked."""
+        if len(self._levels) > self.jmask.bit_count():
+            self._basis = self._mats = self._diffs = self._hochster = None
 
     def _mat(self, p: int) -> list[list[int]]:
         mat = self._mats.get(p)
         if mat is None:
             mat = self._mats[p] = _r_matrix(self._basis, self.jmask, p)
         return mat
+
+    def _diff(self, p: int) -> tuple[int, tuple[int, ...]]:
+        """Rank and invariant factors above 1 of d_p: level p -> p+1."""
+        got = self._diffs.get(p)
+        if got is None:
+            cols = self._mat(p)  # the transpose, which has the same Smith form
+            if not cols or not cols[0]:
+                got = (0, ())
+            elif self.coeffs == "Z":
+                factors = invariant_factors(cols)
+                got = (len(factors), tuple(f for f in factors if f > 1))
+            else:
+                got = (gf2_rank([gf2_vector(col) for col in cols]), ())
+            self._diffs[p] = got
+        return got
+
+    def _check_square(self, p: int) -> None:
+        """d_p d_{p-1} = 0, column by column of d_{p-1}.
+
+        The entries are 0 and +-1 (checked), so an entry of the product is
+        at most n_p in size.  With B bits per row, B above the bit length of
+        n_p, a column of d_p packs exactly into one integer: the sum of its
+        entries shifted by B * row.  d_p sends a column of d_{p-1} to zero
+        iff the packed columns at its non-zero rows, times those entries,
+        sum to 0."""
+        d_in, d_out = self._mat(p - 1), self._mat(p)
+        if not d_in or not d_out[0]:
+            return
+        entries = itertools.chain(*d_in, *d_out)
+        if not _UNIT.issuperset(entries):
+            raise InternalMismatch(f"{self._where(p)}: an entry other than 0, 1, -1")
+        n = len(d_out)
+        shift = n.bit_length() + 1
+        packed = []
+        for col in d_out:
+            v = 0
+            for i in itertools.compress(range(len(col)), col):
+                v += col[i] << shift * i
+            packed.append(v)
+        for col in d_in:
+            image = 0
+            for r in itertools.compress(range(n), col):
+                image += col[r] * packed[r]
+            if image:
+                raise InternalMismatch(f"{self._where(p)}: d_{p} d_{p - 1} is not zero")
+
+    def _where(self, p: int) -> str:
+        return f"multidegree {_unmask(self.jmask)} level {p}"
 
     def _build(self, p: int, lvl: list[int]):
         # d_out's columns are the rows of d_out^T, which _PieceZ diagonalises
@@ -314,26 +435,32 @@ class Component:
             lvl, [gf2_vector(col) for col in d_in_cols], [gf2_vector(col) for col in d_out_cols]
         )
 
-    def _check(self, p: int, piece) -> None:
+    def _check(self, p: int, got) -> None:
         if self._hochster is None:
             self._hochster = _subcomplex_cohomology(self.K, self.jmask, self.coeffs)
-        got = (piece.rank, piece.torsion) if piece else (0, ())
         want = (self._hochster.rank(p - 1), self._hochster.torsion_at(p - 1))
         if got != want:
-            raise InternalMismatch(
-                f"multidegree {_unmask(self.jmask)} level {p}: "
-                f"model gives {got}, subcomplex gives {want}"
-            )
+            raise InternalMismatch(f"{self._where(p)}: model gives {got}, subcomplex gives {want}")
+
+
+def _normal(torsion) -> tuple[int, ...]:
+    """Torsion orders above 1 in divisibility form, 1s dropped: (2, 3) gives
+    (6,).  One order is its own form."""
+    if len(torsion) < 2:
+        return tuple(torsion)
+    return tuple(f for f in divisibility_form(torsion) if f > 1)
 
 
 class MultigradedCohomology:
     """Lazy per-multidegree cohomology of Z_K with cocycle representatives.
 
-    Every piece is computed from the R*(K) model (route 1) and verified
-    against the shifted reduced simplicial cohomology of the full subcomplex
-    (route 2, Hochster) whenever it is built.  Route 2 is counting when K is
-    a 2-sphere and the cohomology of the full subcomplex otherwise.  On a
-    2-sphere, products skip every target level that counting shows is zero.
+    The rank and torsion of every level are computed from the R*(K) model
+    (route 1) and verified against the shifted reduced simplicial cohomology
+    of the full subcomplex (route 2, Hochster) when first needed.  Route 2 is
+    counting when K is a 2-sphere and the cohomology of the full subcomplex
+    otherwise.  Cocycle coordinates (pieces) are built only where a class is
+    projected, and checked against those numbers.  On a 2-sphere, products
+    skip every target level that counting shows is zero.
     """
 
     def __init__(self, K: SimplicialComplex, coeffs: str = "Z"):
@@ -346,29 +473,45 @@ class MultigradedCohomology:
 
     # -- component computation ------------------------------------------------
 
+    def _vertex_mask(self, vertices) -> int:
+        """Bitmask of vertices of K (or a mask); ValueError naming a vertex
+        outside 1..m."""
+        if isinstance(vertices, int):
+            mask = vertices
+            if mask < 0:
+                raise ValueError(f"multidegree mask {mask} is negative")
+        else:
+            for v in vertices:
+                if v < 1:
+                    raise ValueError(f"vertex {v} lies below 1; vertices are 1..{self.K.m}")
+            mask = _mask(vertices)
+        if mask >> self.K.m:
+            raise ValueError(f"vertex {mask.bit_length()} lies above m = {self.K.m}")
+        return mask
+
     def component(self, J) -> Component:
-        jmask = _mask(J)
+        jmask = self._vertex_mask(J)
         comp = self._components.get(jmask)
         if comp is None:
-            if jmask >> self.K.m:
-                raise ValueError(f"vertex {jmask.bit_length()} lies above m = {self.K.m}")
             comp = self._components[jmask] = Component(self.K, self.coeffs, jmask)
         return comp
 
     def compute_all(self) -> "MultigradedCohomology":
-        """Build and keep the component of every one of the 2^m multidegrees.
+        """Compute and keep the numbers (rank and torsion of every level) of
+        each of the 2^m multidegrees, checked as ``Component`` describes.
+        No piece is built: a later projection builds the pieces it needs.
 
         Two guards raise SizeGuard before the work outgrows its use:
 
-        - `_MAX_VERTICES_FULL` (20) bounds m.  Every multidegree is built
+        - `_MAX_VERTICES_FULL` (20) bounds m.  Every multidegree is visited
           and checked, so the cost doubles with each vertex: the
-          dodecahedron (m = 12, 4,096 multidegrees) takes about 2 s over Z
-          on a shared 2-vCPU machine with Python 3.11, and m = 20 would
-          take some 256 times as long.
-        - `_MAX_TOTAL_DIM` (20,000) bounds the summed rank and torsion count
-          of the kept pieces, because every component stays in memory with
-          its cocycle representatives and coordinate maps; the dodecahedron
-          keeps 1,872.
+          dodecahedron (m = 12, 4,096 multidegrees) takes 0.4 to 0.6 s
+          over Z, as load varies, on a shared 2-vCPU machine with Python
+          3.11, and m = 20 would take some 256 times as long.
+        - `_MAX_TOTAL_DIM` (20,000) bounds the summed rank and torsion count,
+          because the ring-wide callers (``basis_classes``,
+          ``decomposability_report``, ``annihilator_dim``) build a piece
+          and products for every class; the dodecahedron has 1,872.
 
         Work on single multidegrees (`component`, products,
         `h3_square_trivial`) visits few of them and is not guarded.
@@ -381,7 +524,9 @@ class MultigradedCohomology:
         total = 0
         for jmask in range(1 << m):
             comp = self.component(jmask)
-            total += sum(p.rank + len(p.torsion) for p in comp.pieces.values())
+            for p in range(jmask.bit_count() + 1):
+                rank, torsion = comp.numbers(p)
+                total += rank + len(torsion)
             if total > _MAX_TOTAL_DIM:
                 raise SizeGuard("total cohomology dimension exceeds the guard")
         self._complete = True
@@ -389,48 +534,50 @@ class MultigradedCohomology:
 
     # -- global views ----------------------------------------------------------
 
-    def _built_pieces(self):
-        """(jmask, p, piece) for every piece, after ``compute_all``: multidegrees
-        ascending, and levels ascending within each."""
+    def _nonzero_levels(self):
+        """(jmask, p, rank, torsion) for every level with a class, after
+        ``compute_all``: multidegrees ascending, and levels ascending within
+        each."""
         self.compute_all()
         for jmask in sorted(self._components):
-            pieces = self._components[jmask].pieces
-            for p in sorted(pieces):
-                yield jmask, p, pieces[p]
+            comp = self._components[jmask]
+            for p in range(jmask.bit_count() + 1):
+                rank, torsion = comp.numbers(p)
+                if rank or torsion:
+                    yield jmask, p, rank, torsion
 
     def betti(self) -> dict[int, int]:
         out = {}
-        for jmask, p, piece in self._built_pieces():
-            if piece.rank:
+        for jmask, p, rank, _ in self._nonzero_levels():
+            if rank:
                 ell = jmask.bit_count() + p
-                out[ell] = out.get(ell, 0) + piece.rank
+                out[ell] = out.get(ell, 0) + rank
         return dict(sorted(out.items()))
 
     def total_dim(self) -> int:
         """Total free rank (= dimension over the field for Z2, over Q for Z)."""
-        return sum(piece.rank for _, _, piece in self._built_pieces())
+        return sum(rank for _, _, rank, _ in self._nonzero_levels())
 
     def basis_classes(self):
         """Iterate (jmask, p, index) over the free basis, deterministic order."""
-        for jmask, p, piece in self._built_pieces():
-            for i in range(piece.rank):
+        for jmask, p, rank, _ in self._nonzero_levels():
+            for i in range(rank):
                 yield (jmask, p, i)
 
     def torsion_summary(self) -> dict[int, list[int]]:
         out = {}
-        for jmask, p, piece in self._built_pieces():
-            if piece.torsion:
-                out.setdefault(jmask.bit_count() + p, []).extend(piece.torsion)
+        for jmask, p, _, torsion in self._nonzero_levels():
+            if torsion:
+                out.setdefault(jmask.bit_count() + p, []).extend(torsion)
         return out
 
     # -- classes ---------------------------------------------------------------
 
     def class_element(self, J, p: int, index: int = 0) -> "RingElement":
-        jmask = _mask(J)
-        comp = self.component(jmask)
+        comp = self.component(J)
         if comp.rank(p) <= index:
             raise IndexError("no such basis class")
-        return RingElement(self, {(jmask, p, index): 1})
+        return RingElement(self, {(comp.jmask, p, index): 1})
 
     def unit(self) -> "RingElement":
         return self.class_element(0, 0, 0)
@@ -440,10 +587,10 @@ class MultigradedCohomology:
 
         Raises ValueError for a face outside J or not of K, a chain that is
         not a cocycle, or one that represents a torsion class."""
-        jmask = _mask(J)
+        jmask = self._vertex_mask(J)
         norm = {}
         for key, c in chain.items():
-            L = _mask(key)
+            L = self._vertex_mask(key)
             if L & ~jmask:
                 raise ValueError(f"{_unmask(L)} lies outside multidegree {_unmask(jmask)}")
             if not self.K.has_face(L):
@@ -468,9 +615,10 @@ class MultigradedCohomology:
     def h3_class(self, i: int, j: int) -> "RingElement":
         if i == j:
             raise ValueError(f"u{i}v{j} needs two distinct vertices")
-        if self.K.has_face((i, j)):
+        jmask = self._vertex_mask((i, j))
+        if self.K.has_face(jmask):
             raise ValueError(f"facets {i},{j} are adjacent; u{i}v{j} is not a cocycle")
-        return self.from_chain((i, j), {(j,): 1})
+        return self.from_chain(jmask, {1 << (j - 1): 1})
 
 
 class RingElement:
@@ -708,8 +856,8 @@ def decomposability_report(
     level_set = set(levels) if levels is not None else None
     report: dict[int, int] = {}
     components = cohom._components  # every multidegree, once the walk has begun
-    for jmask, p, piece in cohom._built_pieces():
-        if jmask == 0 or piece.rank == 0:
+    for jmask, p, rank, _ in cohom._nonzero_levels():
+        if jmask == 0 or rank == 0:
             continue
         if level_set is not None and p not in level_set:
             continue
@@ -724,16 +872,16 @@ def decomposability_report(
             if sub == 0 or sub == jmask or not sub & anchor:
                 continue
             rest = jmask & ~sub
-            for p1, pc1 in components[sub].pieces.items():
-                pc2 = components[rest].pieces.get(p - p1)
-                if pc2 is None or pc2.rank == 0:
+            for p1 in range(sub.bit_count() + 1):
+                rank1, rank2 = components[sub].rank(p1), components[rest].rank(p - p1)
+                if not (rank1 and rank2):
                     continue
-                for i1 in range(pc1.rank):
+                for i1 in range(rank1):
                     e1 = RingElement(cohom, {(sub, p1, i1): 1})
-                    for i2 in range(pc2.rank):
+                    for i2 in range(rank2):
                         e2 = RingElement(cohom, {(rest, p - p1, i2): 1})
                         columns.append(cup_product(e1, e2).terms)
-        coker = piece.rank - _rank(columns, cohom.coeffs)
+        coker = rank - _rank(columns, cohom.coeffs)
         if coker:
             report[ell] = report.get(ell, 0) + coker
     if wanted is not None:

@@ -104,6 +104,22 @@ def test_multidegree_with_a_vertex_above_m_is_rejected():
     assert not coh._components
 
 
+def test_vertex_zero_and_negative_vertices_are_rejected_by_name():
+    coh = MultigradedCohomology(dual_complex(catalog("cube")), "Z")
+    for call, v in (
+        (lambda: coh.component((0, 1)), 0),
+        (lambda: coh.h3_class(0, 2), 0),
+        (lambda: coh.from_chain((1, 2), {(0,): 1}), 0),
+        (lambda: coh.component((-3, 1)), -3),
+        (lambda: coh.class_element((2, -1), 1), -1),
+    ):
+        with pytest.raises(ValueError, match=f"vertex {v} lies below 1; vertices are 1..6"):
+            call()
+    with pytest.raises(ValueError, match="multidegree mask -1 is negative"):
+        coh.component(-1)
+    assert not coh._components
+
+
 def test_h3_rank_equals_nonadjacent_pairs():
     for P in (catalog("cube"), catalog("prism", 5), catalog("barrel", 5)):
         K = dual_complex(P)
@@ -313,6 +329,8 @@ def test_h3_square_trivial_builds_and_checks_the_nonzero_target(monkeypatch, nam
 def test_pieces_built_one_at_a_time_equal_compute_all(monkeypatch, name, k, coeffs):
     K = dual_complex(catalog(name, k))
     ref = cohomology(K, coeffs)
+    # the reference pieces, built before the recorders go in
+    wants = {jmask: ref.component(jmask).pieces for jmask in range(1 << K.m)}
     mats, counted = [], []
     real_matrix, real_count = macohomology._r_matrix, macohomology.sphere_subcomplex_ranks
 
@@ -330,7 +348,7 @@ def test_pieces_built_one_at_a_time_equal_compute_all(monkeypatch, name, k, coef
     fresh = MultigradedCohomology(K, coeffs)
     for jmask in range(1 << K.m):
         comp = fresh.component(jmask)
-        want = ref.component(jmask).pieces
+        want = wants[jmask]
         for p in range(jmask.bit_count(), -1, -1):
             got = comp.piece(p)
             if p not in want:

@@ -6,24 +6,32 @@ replaced, kept here as the reference: `kernel_basis` of d_out, an exact
 solve in that kernel basis by its own Smith pass, and `ZQuotient`.
 `_r_matrix` is checked against a per-entry reference built on
 `_exterior_sign`, and `from_chain` against chains that are not cocycles or
-not in the level's basis.
+not in the level's basis.  The numbers of each level (one untracked Smith
+pass per differential) are checked against the pieces on every level, and
+the checks that guard them are shown to run.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from pogorelov import _intlinalg, macohomology
 from pogorelov._intlinalg import ZQuotient, diagonalize, invariant_factors, kernel_basis
+from pogorelov.complex import GradedHomology
 from pogorelov.macohomology import (
+    InternalMismatch,
     MultigradedCohomology,
     _PieceZ,
     _r_matrix,
+    cohomology,
+    cup_product,
     r_basis,
     r_differential,
 )
 from pogorelov.polytope import catalog, dual_complex
-from test_complex import RP2
+from test_complex import RP2, TORUS
+from test_counting import truncations
 from test_macohomology import TWO_SEGMENTS
 
 # -- random cochain complexes with known cohomology ---------------------------
@@ -294,3 +302,155 @@ def test_from_chain_rejects_faces_outside_the_level_basis(coeffs):
     # the valid chain still gives the class of u1 v2
     assert cohom.from_chain((1, 2), {(2,): 1}) == cohom.h3_class(1, 2)
     assert not cohom.h3_class(1, 2).is_zero()
+
+
+# -- the numbers of each level against its piece ---------------------------------
+
+
+def test_piece_torsion_meets_its_level_in_divisibility_form(monkeypatch):
+    # Z6 presented as diag(2, 3): the piece keeps the moduli of its coordinates
+    piece = _PieceZ([1, 2], [[2, 0], [0, 3]], [])
+    assert (piece.rank, piece.torsion) == (0, (2, 3))
+    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert macohomology._normal(piece.torsion) == (6,)
+    # a level built from that piece, checked against a route 2 that says Z6,
+    # both before and after the level's numbers are known
+    monkeypatch.setattr(macohomology.Component, "_build", lambda comp, p, lvl: piece)
+    six = GradedHomology("Z", {}, {0: (6,)})
+    monkeypatch.setattr(macohomology, "_subcomplex_cohomology", lambda K, jmask, coeffs: six)
+    K = dual_complex(catalog("cube"))
+    assert MultigradedCohomology(K, "Z").component((1, 2)).piece(1) is piece
+    comp = MultigradedCohomology(K, "Z").component((1, 2))
+    comp._levels[1] = (0, (6,))
+    assert comp.piece(1) is piece
+    comp._pieces.clear()
+    comp._levels[1] = (0, (2, 3))
+    with pytest.raises(InternalMismatch, match="piece gives"):
+        comp.piece(1)
+
+
+def _assert_numbers_equal_pieces(K, coeffs):
+    """Every level's numbers, from compute_all, against a piece built on a
+    fresh cohomology (which has no numbers of its own before it)."""
+    numbers = cohomology(K, coeffs)
+    fresh = MultigradedCohomology(K, coeffs)
+    for jmask in range(1 << K.m):
+        comp = fresh.component(jmask)
+        for p in range(jmask.bit_count() + 1):
+            piece = comp.piece(p)
+            got = (piece.rank, macohomology._normal(piece.torsion)) if piece else (0, ())
+            assert numbers.component(jmask).numbers(p) == got, (jmask, p)
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Z2"])
+@pytest.mark.parametrize("K", [RP2, TORUS], ids=["RP2", "torus"])
+def test_numbers_equal_pieces_off_2_spheres(K, coeffs):
+    _assert_numbers_equal_pieces(K, coeffs)
+    if K is RP2:  # a level with torsion is among those compared
+        assert cohomology(K, coeffs).torsion_summary() == ({9: [2]} if coeffs == "Z" else {})
+
+
+@settings(max_examples=10, deadline=None)
+@given(truncations())
+def test_numbers_equal_pieces_on_truncations(P):
+    for coeffs in ("Z", "Z2"):
+        _assert_numbers_equal_pieces(dual_complex(P), coeffs)
+
+
+def _record_level_checks(monkeypatch):
+    """(jmask, p) for every route-2 check and every d d = 0 check."""
+    route2, squares = [], []
+    real_check, real_square = macohomology.Component._check, macohomology.Component._check_square
+
+    def recording_check(comp, p, got):
+        route2.append((comp.jmask, p))
+        return real_check(comp, p, got)
+
+    def recording_square(comp, p):
+        squares.append((comp.jmask, p))
+        return real_square(comp, p)
+
+    monkeypatch.setattr(macohomology.Component, "_check", recording_check)
+    monkeypatch.setattr(macohomology.Component, "_check_square", recording_square)
+    return route2, squares
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Z2"])
+@pytest.mark.parametrize("K", [dual_complex(catalog("prism", 5)), RP2], ids=["prism5", "RP2"])
+def test_compute_all_checks_every_level_by_route2_and_dd(monkeypatch, K, coeffs):
+    route2, squares = _record_level_checks(monkeypatch)
+    cohomology(K, coeffs)
+    every_level = [(jm, p) for jm in range(1 << K.m) for p in range(jm.bit_count() + 1)]
+    with_basis = [(jm, p) for jm, p in every_level if p in r_basis(K, jm)]
+    assert sorted(route2) == every_level
+    assert sorted(squares) == with_basis
+
+
+@pytest.mark.parametrize("coeffs", ["Z", "Z2"])
+@pytest.mark.parametrize("K", [dual_complex(catalog("cube")), RP2], ids=["cube", "RP2"])
+def test_one_flipped_sign_of_the_differential_raises(monkeypatch, K, coeffs):
+    real = macohomology._r_matrix
+    target = (1 << K.m) - 1  # the full multidegree, d_1: vertices -> edges
+
+    def one_sign_flipped(basis, jmask, p):
+        cols = real(basis, jmask, p)
+        if (jmask, p) == (target, 1):
+            r = next(r for r, a in enumerate(cols[0]) if a)
+            cols[0][r] = -cols[0][r]
+        return cols
+
+    monkeypatch.setattr(macohomology, "_r_matrix", one_sign_flipped)
+    with pytest.raises(InternalMismatch, match=r"d_1 d_0 is not zero"):
+        cohomology(K, coeffs)
+    # a Z piece built on demand meets the same flipped sign; over Z2 a sign
+    # changes nothing the piece computes
+    if coeffs == "Z":
+        with pytest.raises(InternalMismatch, match="d_out d_in is not zero"):
+            MultigradedCohomology(K, coeffs).component(target).piece(1)
+
+
+def test_betti_and_torsion_build_no_piece_and_later_pieces_agree(monkeypatch):
+    K = dual_complex(catalog("dodecahedron"))
+    tracked, quotients, pieces = [], [], []
+    real_diagonalize, real_quotient = _intlinalg.diagonalize, macohomology.ZQuotient
+    real_piece = macohomology._PieceZ
+
+    def counting_diagonalize(A, **track):
+        if any(track.values()):
+            tracked.append(track)
+        return real_diagonalize(A, **track)
+
+    def counting_quotient(*args, **kwargs):
+        quotients.append(1)
+        return real_quotient(*args, **kwargs)
+
+    def counting_piece(*args):
+        pieces.append(1)
+        return real_piece(*args)
+
+    monkeypatch.setattr(_intlinalg, "diagonalize", counting_diagonalize)
+    monkeypatch.setattr(macohomology, "diagonalize", counting_diagonalize)
+    monkeypatch.setattr(macohomology, "ZQuotient", counting_quotient)
+    monkeypatch.setattr(macohomology, "_PieceZ", counting_piece)
+    H = cohomology(K, "Z")
+    betti, torsion = H.betti(), H.torsion_summary()
+    assert (tracked, quotients, pieces) == ([], [], [])
+    assert sum(betti.values()) == 1872 and torsion == {}
+    # coordinates asked for afterwards equal those of a fresh cohomology
+    fresh = MultigradedCohomology(K, "Z")
+    keys = [(0b11, 1), (0b1111, 2), (0b111111, 2), (0b111111000000, 3), (0b111111111111, 3)]
+    classes = []
+    for jmask, p in keys:
+        for i in range(H.component(jmask).rank(p)):
+            chain = fresh.class_element(jmask, p, i).chains()[(jmask, p)]
+            assert H.from_chain(jmask, chain).terms == fresh.from_chain(jmask, chain).terms
+            classes.append((jmask, p, i))
+    assert classes
+    for a in classes:
+        for b in classes:
+            if a[0] & b[0]:
+                continue
+            got = cup_product(H.class_element(*a), H.class_element(*b))
+            want = cup_product(fresh.class_element(*a), fresh.class_element(*b))
+            assert got.terms == want.terms
+    assert pieces and quotients and tracked
