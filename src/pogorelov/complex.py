@@ -142,46 +142,23 @@ class SimplicialComplex:
         return self._adj
 
     def is_two_sphere(self) -> bool:
-        """True iff K is a simplicial 2-sphere: pure of dimension 2, every
-        edge in exactly two triangles, every vertex link one cycle, connected,
-        and Euler characteristic 2.  Decided once and cached."""
+        """True iff K is a simplicial 2-sphere: pure of dimension 2 and, by
+        Steinitz, the dual triangulation of a simple 3-polytope, which
+        ``polytope.from_triangles`` accepts.  Decided once and cached."""
         if self._sphere is None:
             self._sphere = self._decide_two_sphere()
         return self._sphere
 
     def _decide_two_sphere(self) -> bool:
-        if self.m < 4 or any(f.bit_count() != 3 for f in self._maximal):
+        from .polytope import PolytopeError, from_triangles  # polytope imports this module
+
+        if any(f.bit_count() != 3 for f in self._maximal):
             return False
-        # link of vertex v: its neighbours, each paired with the triangles' third vertices
-        link = [{} for _ in range(self.m + 1)]
-        for t in self._maximal:
-            for v in _bits(t):
-                a, b = _unmask(t & ~(1 << v))
-                link[v + 1].setdefault(a, []).append(b)
-                link[v + 1].setdefault(b, []).append(a)
-        for v in range(1, self.m + 1):
-            nbrs = link[v]
-            # every edge {v, a} in exactly two triangles: each link vertex has degree 2
-            if any(len(ends) != 2 for ends in nbrs.values()):
-                return False
-            # the link is one cycle: walking it from any vertex visits all of them
-            start = prev = next(iter(nbrs))
-            cur, steps = nbrs[start][0], 1
-            while cur != start:
-                ends = nbrs[cur]
-                prev, cur = cur, ends[1] if ends[0] == prev else ends[0]
-                steps += 1
-            if steps != len(nbrs):
-                return False
-        adj = self.adjacency()
-        seen = front = 1
-        while front:
-            low = front & -front
-            front ^= low
-            new = adj[low.bit_length()] & ~seen
-            seen |= new
-            front |= new
-        return seen == (1 << self.m) - 1 and self.euler_characteristic() == 2
+        try:
+            from_triangles(self.m, map(_unmask, self._maximal))
+        except PolytopeError:
+            return False
+        return True
 
     def _triangles_by_lowest_vertex(self) -> list[tuple[int, ...]]:
         """Triangle masks grouped by their smallest vertex (index 0 unused)."""

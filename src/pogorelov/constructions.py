@@ -2,9 +2,10 @@
 facets, vertex/edge truncation, cutting runs of consecutive edges, and the
 all-edges cut P_E.
 
-Every operation rewrites the combinatorial structure (rotation system or,
-equivalently, the dual triangulation) and re-validates the result through
-from_rotation_system, so an invalid surgery cannot produce a polytope.
+Every operation rewrites the dual triangulation (one triangle per vertex of
+the polytope) and reads the result back through polytope.from_triangles,
+which validates it with from_rotation_system, so an invalid surgery cannot
+produce a polytope.  The truncations are one rewrite, _cut.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .belts import facet_belt
-from .polytope import NotSphere, SimplePolytope, from_rotation_system
+from .polytope import SimplePolytope, from_triangles
 
 
 class FacetNotBeltSurrounded(ValueError):
@@ -35,38 +36,6 @@ class Alignment:
 
 def all_alignments(k: int):
     return [Alignment(start=s, reverse=r) for r in (False, True) for s in range(k)]
-
-
-def _polytope_from_triangles(m: int, triangles) -> SimplePolytope:
-    """Rebuild a polytope from the triangle set of its dual triangulation."""
-    link_edges = {}
-    for tri in triangles:
-        a, b, c = tri
-        for x, y, z in ((a, b, c), (b, a, c), (c, a, b)):
-            link_edges.setdefault(x, []).append((y, z))
-    rotations = []
-    for v in range(1, m + 1):
-        pairs = link_edges.get(v)
-        if not pairs:
-            raise NotSphere(f"facet {v} has no incident vertices after surgery")
-        nbr = {}
-        for y, z in pairs:
-            nbr.setdefault(y, []).append(z)
-            nbr.setdefault(z, []).append(y)
-        if any(len(ws) != 2 for ws in nbr.values()):
-            raise NotSphere(f"link of facet {v} is not a cycle")
-        start = min(nbr)
-        cycle = [start, nbr[start][0]]
-        while True:
-            a, b = cycle[-2], cycle[-1]
-            c = nbr[b][0] if nbr[b][0] != a else nbr[b][1]
-            if c == start:
-                break
-            cycle.append(c)
-        if len(cycle) != len(nbr):
-            raise NotSphere(f"link of facet {v} is disconnected")
-        rotations.append(tuple(cycle))
-    return from_rotation_system(rotations)
 
 
 def connected_sum(
@@ -115,81 +84,52 @@ def connected_sum(
     for tri in Q.vertex_tuples:
         if g not in tri:
             triangles.add(tuple(sorted(label_q[x] for x in tri)))
-    return _polytope_from_triangles(m, triangles)
+    return from_triangles(m, triangles)
+
+
+def _cut(P: SimplePolytope, f: int, prev: int, run: tuple[int, ...], nxt: int) -> SimplePolytope:
+    """Cut the edges of facet f shared with the facets of run, which lie
+    consecutively on f between prev and nxt; with no run, cut the vertex
+    (f, prev, nxt).  The new facet m+1 is adjacent to f, prev, run and nxt.
+
+    On the dual: the triangles (f, a, b) for a, b consecutive in
+    (prev, *run, nxt) become (m+1, a, b), and (m+1, f, prev), (m+1, f, nxt)
+    are added."""
+    g = P.m + 1
+    chain = (prev, *run, nxt)
+    pairs = list(zip(chain, chain[1:]))
+    cut = {tuple(sorted((f, a, b))) for a, b in pairs}
+    triangles = [t for t in P.vertex_tuples if t not in cut]
+    triangles += [(g, a, b) for a, b in pairs] + [(g, f, prev), (g, f, nxt)]
+    return from_triangles(g, triangles)
 
 
 def _cut_edge_run(P: SimplePolytope, f: int, run: tuple[int, ...]) -> SimplePolytope:
     """Cut the s >= 1 consecutive edges of facet f shared with the facets in
-    run (consecutive in f's rotation).  The new facet is labelled m+1."""
+    run (consecutive in f's rotation, either way round)."""
     nbrs = P.neighbors(f)
     kf = len(nbrs)
     s = len(run)
-    if s < 1:
-        raise ValueError("empty edge run")
     if len(set(run)) != s or any(x not in nbrs for x in run):
         raise ValueError("edge run must name distinct neighbors of the facet")
     t = nbrs.index(run[0])
-    fwd = tuple(nbrs[(t + d) % kf] for d in range(s))
-    bwd = tuple(nbrs[(t - d) % kf] for d in range(s))
-    if fwd == tuple(run):
-        pass
-    elif bwd == tuple(run):
-        t = (t - s + 1) % kf
+    for step in (1, -1):
+        if all(nbrs[(t + step * d) % kf] == x for d, x in enumerate(run)):
+            break
     else:
         raise ValueError("edge run must be consecutive on the facet")
     if s > kf - 2:
         raise ValueError("cutting this many edges would destroy the facet")
-    run = tuple(nbrs[(t + d) % kf] for d in range(s))
-    prev_f = nbrs[(t - 1) % kf]
-    next_f = nbrs[(t + s) % kf]
-    g = P.m + 1
-    rot = {i: list(P.neighbors(i)) for i in range(1, P.m + 1)}
-    # facet f: the run collapses to the single new neighbor g
-    new_f = [g]
-    p = (t + s) % kf
-    while nbrs[p] != run[0]:
-        new_f.append(nbrs[p])
-        p = (p + 1) % kf
-    rot[f] = new_f
-    # middle facets of the run trade their edge with f for one with g
-    for x in run:
-        rot[x] = [g if y == f else y for y in rot[x]]
-    # end facets gain an edge with g, inserted next to f on the run side;
-    # orientation: in rot[prev_f] the run-side of f is the position where
-    # run[0] sits adjacent to f; same for next_f with run[-1]
-    for x, mate in ((prev_f, run[0]), (next_f, run[-1])):
-        r = rot[x]
-        q = r.index(f)
-        if r[(q + 1) % len(r)] == mate:
-            r.insert(q + 1, g)
-        elif r[(q - 1) % len(r)] == mate:
-            r.insert(q, g)
-        else:
-            raise ValueError("edge run is not consecutive at its endpoint")
-    rot[g] = [f, prev_f, *run, next_f]
-    return from_rotation_system([rot[i] for i in range(1, g + 1)])
+    return _cut(P, f, nbrs[(t - step) % kf], run, nbrs[(t + step * s) % kf])
 
 
 def vertex_truncate(P: SimplePolytope, v) -> SimplePolytope:
     """Truncate the vertex given by its three facets; the new triangular
     facet is labelled m+1."""
     tri = tuple(sorted(v))
-    if frozenset(tri) not in {frozenset(t) for t in P.vertex_tuples}:
+    if tri not in P.vertex_tuples:
         raise ValueError(f"{tri} is not a vertex")
-    t = P.m + 1
-    rot = {i: list(P.neighbors(i)) for i in range(1, P.m + 1)}
-    for x in tri:
-        others = [y for y in tri if y != x]
-        r = rot[x]
-        k = len(r)
-        for p in range(k):
-            if {r[p], r[(p + 1) % k]} == set(others):
-                r.insert(p + 1, t)
-                break
-        else:
-            raise ValueError(f"{tri} is not a vertex of facet {x}")
-    rot[t] = list(tri)
-    return from_rotation_system([rot[i] for i in range(1, t + 1)])
+    return _cut(P, tri[0], tri[1], (), tri[2])
 
 
 def edge_truncate(P: SimplePolytope, e) -> SimplePolytope:
@@ -233,4 +173,4 @@ def edge_cut_all(P: SimplePolytope) -> SimplePolytope:
         triangles.add(tuple(sorted((b, eab, ebc))))
         triangles.add(tuple(sorted((c, ebc, eac))))
         triangles.add(tuple(sorted((eab, ebc, eac))))
-    return _polytope_from_triangles(P.m + len(edges), triangles)
+    return from_triangles(P.m + len(edges), triangles)

@@ -382,10 +382,10 @@ class Component:
         """Rank and invariant factors above 1 of d_p: level p -> p+1."""
         got = self._diffs.get(p)
         if got is None:
+            if p not in self._basis or p + 1 not in self._basis:
+                return 0, ()  # an empty source or target: nothing to build
             cols = self._mat(p)  # the transpose, which has the same Smith form
-            if not cols or not cols[0]:
-                got = (0, ())
-            elif self.coeffs == "Z":
+            if self.coeffs == "Z":
                 factors = invariant_factors(cols)
                 got = (len(factors), tuple(f for f in factors if f > 1))
             else:
@@ -402,9 +402,9 @@ class Component:
         entries shifted by B * row.  d_p sends a column of d_{p-1} to zero
         iff the packed columns at its non-zero rows, times those entries,
         sum to 0."""
+        if p - 1 not in self._basis or p + 1 not in self._basis:
+            return  # an empty level on either side: the product is empty
         d_in, d_out = self._mat(p - 1), self._mat(p)
-        if not d_in or not d_out[0]:
-            return
         entries = itertools.chain(*d_in, *d_out)
         if not _UNIT.issuperset(entries):
             raise InternalMismatch(f"{self._where(p)}: an entry other than 0, 1, -1")
@@ -645,8 +645,7 @@ class RingElement:
         return {jm.bit_count() + p for (jm, p, _) in self.terms}
 
     def __add__(self, other):
-        if other.cohom is not self.cohom:
-            raise ValueError("elements live over different rings")
+        _same_cohomology(self, other)
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
@@ -706,6 +705,11 @@ class RingElement:
         return out
 
 
+def _same_cohomology(a: RingElement, b: RingElement) -> None:
+    if a.cohom is not b.cohom:
+        raise ValueError("elements live over different cohomologies")
+
+
 def _zero_by_counting(K: SimplicialComplex, jmask: int, p: int) -> bool:
     """True when K is a 2-sphere and level p of multidegree J is zero, that
     is H~^{p-1}(K_J) = 0 by counting."""
@@ -718,8 +722,7 @@ def cup_product(a: RingElement, b: RingElement) -> RingElement:
 
     On a 2-sphere K a target level whose counted rank is zero holds no class
     (Hochster), so it is dropped before its piece is built."""
-    if a.cohom is not b.cohom:
-        raise ValueError("BasisMismatch: elements over different cohomologies")
+    _same_cohomology(a, b)
     cohom = a.cohom
     K = cohom.K
     target_chains: dict[tuple[int, int], dict[int, int] | None] = {}

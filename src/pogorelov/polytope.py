@@ -6,6 +6,11 @@ edge cycles, any two facets meeting in at most one edge, dual complex a
 simplicial 2-sphere); no coordinates anywhere.  Only from_rotation_system
 validates: relabel trusts the polytope it starts from and checks only that
 the facet map is a bijection.
+
+The dual triangulation K_P has a triangle for every vertex of P.
+dual_complex goes there; from_triangles comes back, reading each facet's
+rotation off its link in the triangulation, so every surgery can rewrite the
+triangles and be validated by from_rotation_system on the way back.
 """
 
 from __future__ import annotations
@@ -341,9 +346,50 @@ def _orient(rot) -> None:
                     raise NotSphere("rotation system is not orientable")
 
 
+def from_triangles(m: int, triangles) -> SimplePolytope:
+    """The polytope whose dual triangulation has these triangles on the
+    facets 1..m: the inverse of dual_complex.
+
+    Facet v's rotation is its link, which must be one cycle, walked from its
+    least neighbour towards the first link neighbour the triangles name;
+    from_rotation_system then validates and orients the result.
+    """
+    links = {}  # facet -> {link vertex: its two neighbours in the link}
+    for a, b, c in triangles:
+        for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+            link = links.setdefault(v, {})
+            link.setdefault(x, []).append(y)
+            link.setdefault(y, []).append(x)
+    outside = [v for v in links if v not in range(1, m + 1)]
+    if outside:
+        raise ValueError(f"facet index out of range 1..{m}: {sorted(outside)}")
+    rotations = []
+    for v in range(1, m + 1):
+        link = links.get(v)
+        if link is None:
+            raise NotSphere(f"facet {v} lies in no triangle")
+        if any(len(ends) != 2 for ends in link.values()):
+            raise NotSphere(f"link of facet {v} is not a cycle")
+        start = min(link)
+        cycle, prev, cur = [start], start, link[start][0]
+        while cur != start:
+            cycle.append(cur)
+            a, b = link[cur]
+            prev, cur = cur, b if a == prev else a
+        if len(cycle) != len(link):
+            raise NotSphere(f"link of facet {v} is not one cycle")
+        rotations.append(cycle)
+    return from_rotation_system(rotations)
+
+
 def dual_complex(P: SimplePolytope) -> SimplicialComplex:
-    """K_P: the simplicial 2-sphere on the facet set, triangles = vertices."""
-    return SimplicialComplex(P.m, P.vertex_tuples)
+    """K_P: the simplicial 2-sphere on the facet set, triangles = vertices.
+
+    P passed from_rotation_system, so K_P is marked a 2-sphere without
+    deciding it again."""
+    K = SimplicialComplex(P.m, P.vertex_tuples)
+    K._sphere = True
+    return K
 
 
 @dataclass(frozen=True)

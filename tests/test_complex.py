@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -259,7 +263,27 @@ def test_spheres_are_taken_for_2_spheres():
         P = catalog(name, k)
         perm = list(range(1, P.m + 1))
         rng.shuffle(perm)
-        assert dual_complex(P.relabel(perm)).is_two_sphere()
+        Q = P.relabel(perm)
+        assert dual_complex(Q).is_two_sphere()  # marked by dual_complex
+        assert new_complex(Q.m, Q.vertex_tuples).is_two_sphere()  # decided
+
+
+def test_two_sphere_decided_with_only_the_complex_module_imported():
+    # the decision imports polytope, which imports complex, inside the method
+    code = (
+        "from pogorelov.complex import new_complex\n"
+        f"K = new_complex(6, {OCTAHEDRON.maximal_faces()})\n"
+        "print(K.is_two_sphere())\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "True"
 
 
 def test_from_text_names_the_bad_line():

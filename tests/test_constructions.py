@@ -46,8 +46,10 @@ def test_edge_truncate_keeps_flagness():
 
 
 def test_connected_sum_requires_belt():
-    with pytest.raises(FacetNotBeltSurrounded):
+    with pytest.raises(FacetNotBeltSurrounded, match="first summand"):
         connected_sum(SIMPLEX, 1, SIMPLEX, 1)
+    with pytest.raises(FacetNotBeltSurrounded, match="second summand"):
+        connected_sum(catalog("prism", 3), 1, SIMPLEX, 1)
 
 
 def test_connected_sum_dodecahedra_pogorelov_all_alignments():
@@ -117,6 +119,56 @@ def test_sk_truncation_malformed_run():
         sk_truncate(DODECA, 1, (nb[0], nb[2]))  # not consecutive
     with pytest.raises(ValueError):
         sk_truncate(DODECA, 1, (nb[0],))  # s < 2
+
+
+def test_sk_truncation_run_given_backwards_is_the_same_cut():
+    Q8 = catalog("barrel", 8)
+    nb = Q8.neighbors(1)
+    run = (nb[3], nb[4], nb[5])
+    forward = sk_truncate(Q8, 1, run)
+    backward = sk_truncate(Q8, 1, run[::-1])
+    assert backward.vertex_tuples == forward.vertex_tuples
+    # the run wraps around the end of the rotation
+    wrap = (nb[-1], nb[0])
+    assert sk_truncate(Q8, 1, wrap[::-1]).vertex_tuples == sk_truncate(Q8, 1, wrap).vertex_tuples
+
+
+def test_sk_truncation_run_must_name_distinct_neighbours():
+    nb = DODECA.neighbors(1)
+    far = next(i for i in range(2, DODECA.m + 1) if i not in nb)
+    for run in ((nb[0], nb[0]), (nb[0], far), (nb[0], nb[1], nb[1])):
+        with pytest.raises(ValueError, match="distinct neighbors"):
+            sk_truncate(DODECA, 1, run)
+
+
+def test_sk_truncation_may_not_destroy_the_facet():
+    nb = CUBE.neighbors(1)
+    assert sk_truncate(CUBE, 1, nb[:2]).facet_size(1) == 3  # s = k - 2 is the most
+    for s in (3, 4):
+        with pytest.raises(ValueError, match="destroy the facet"):
+            sk_truncate(CUBE, 1, nb[:s])
+
+
+def test_vertex_truncate_rejects_a_non_vertex():
+    # facets 1 and 2 of the cube are opposite: no vertex lies on both
+    for v in ((1, 2, 3), (1, 3), (1, 3, 5, 4)):
+        with pytest.raises(ValueError, match="is not a vertex"):
+            vertex_truncate(CUBE, v)
+
+
+def test_edge_truncate_rejects_non_adjacent_facets():
+    with pytest.raises(ValueError, match="are not adjacent"):
+        edge_truncate(CUBE, (1, 2))
+
+
+def test_truncations_add_one_facet_next_to_the_cut():
+    v = DODECA.vertex_tuples[4]
+    vt = vertex_truncate(DODECA, v)
+    assert set(vt.neighbors(13)) == set(v)
+    nb = DODECA.neighbors(1)
+    et = edge_truncate(DODECA, (1, nb[2]))
+    assert set(et.neighbors(13)) == {1, nb[1], nb[2], nb[3]}
+    assert et.facet_size(1) == 5 and not et.adjacent(1, nb[2])
 
 
 def test_edge_cut_all_bookkeeping():

@@ -5,7 +5,12 @@ import pytest
 
 from pogorelov import macohomology
 from pogorelov.belts import enumerate_belts, is_flag_polytope
-from pogorelov.complex import full_subcomplex, new_complex, reduced_cohomology
+from pogorelov.complex import (
+    full_subcomplex,
+    new_complex,
+    reduced_cohomology,
+    sphere_subcomplex_ranks,
+)
 from pogorelov.constructions import vertex_truncate
 from pogorelov.macohomology import (
     InternalMismatch,
@@ -519,3 +524,36 @@ def test_ring_element_terms_are_read_only_and_chains_cached():
     assert a == b and hash(a) == hash(b)
     assert dict((a + b).terms) == {key: 2 * a.terms[key]}
     assert (a - b).is_zero() and dict(a.terms) == {key: a.terms[key]}
+
+
+def test_elements_of_two_cohomologies_do_not_mix():
+    K = dual_complex(catalog("cube"))
+    a = MultigradedCohomology(K, "Z").h3_class(1, 2)
+    b = MultigradedCohomology(K, "Z").h3_class(3, 5)
+    message = "^elements live over different cohomologies$"
+    with pytest.raises(ValueError, match=message):
+        a + b
+    with pytest.raises(ValueError, match=message):
+        cup_product(a, b)
+
+
+def test_differentials_are_built_only_between_two_non_empty_levels(monkeypatch):
+    calls = []
+
+    def recording(basis, jmask, p):
+        calls.append(p in basis and p + 1 in basis)
+        return _r_matrix(basis, jmask, p)
+
+    monkeypatch.setattr(macohomology, "_r_matrix", recording)
+    K = dual_complex(catalog("prism", 7))
+    counted = {}  # Hochster: level p of multidegree J is H~^{p-1}(K_J)
+    for jmask in range(1 << K.m):
+        for p, r in enumerate(sphere_subcomplex_ranks(K, jmask)):
+            if r:
+                d = jmask.bit_count() + p
+                counted[d] = counted.get(d, 0) + r
+    for coeffs in ("Z", "Z2"):
+        calls.clear()
+        H = cohomology(K, coeffs)
+        assert {d: b for d, b in H.betti().items() if b} == counted
+        assert calls and all(calls), calls.count(False)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from pogorelov.complex import is_flag, reduced_cohomology
 from pogorelov.polytope import (
@@ -13,10 +14,12 @@ from pogorelov.polytope import (
     canonical_code,
     dual_complex,
     from_rotation_system,
+    from_triangles,
     is_isomorphic,
     pk_vector,
     polygon,
 )
+from test_counting import truncations
 
 
 def _cyclic_variants(seq):
@@ -81,6 +84,40 @@ def test_dual_complexes():
     K = dual_complex(catalog("simplex"))
     assert K.f_vector() == (4, 6, 4)
     assert reduced_cohomology(K).rank(2) == 1
+
+
+def _assert_triangles_round_trip(P):
+    Q = from_triangles(P.m, P.vertex_tuples)
+    assert Q.vertex_tuples == P.vertex_tuples
+    assert Q.canonical_code() == P.canonical_code()
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [("simplex", None), ("cube", None), ("prism", 3), ("prism", 7), ("barrel", 6), ("dodecahedron", None)],
+)
+def test_from_triangles_inverts_dual_complex(name, k):
+    _assert_triangles_round_trip(catalog(name, k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(truncations())
+def test_from_triangles_inverts_dual_complex_on_truncations(P):
+    _assert_triangles_round_trip(P)
+
+
+def test_from_triangles_rejects_what_is_no_dual_triangulation():
+    tetra = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    with pytest.raises(NotSphere, match="facet 5 lies in no triangle"):
+        from_triangles(5, tetra)
+    with pytest.raises(NotSphere, match="link of facet 1 is not a cycle"):
+        from_triangles(4, tetra[1:])  # a disc
+    # two tetrahedron boundaries sharing facet 4: its link is two triangles
+    pinched = tetra + [(4, 5, 6), (4, 5, 7), (4, 6, 7), (5, 6, 7)]
+    with pytest.raises(NotSphere, match="link of facet 4 is not one cycle"):
+        from_triangles(7, pinched)
+    with pytest.raises(ValueError, match=r"out of range 1\.\.4: \[0\]"):
+        from_triangles(4, tetra + [(0, 1, 2)])
 
 
 def test_pk_vectors():

@@ -1,7 +1,8 @@
 """The fast routes of relabel, 3- and 4-belts, canonical_code and
 isomorphisms_to against the plain routes they replaced, kept here as
 references: on the catalog, on surgery outputs and on the `hypothesis`
-truncation corpus of tests/test_counting.py, relabellings included."""
+truncation corpus of tests/test_counting.py, relabellings included.
+has_belt is checked against enumerate_belts for every belt length 3..7."""
 
 import itertools
 import random
@@ -169,6 +170,22 @@ def test_routes_agree_at_m42():
 @given(truncations(), st.randoms(use_true_random=False))
 def test_routes_agree_on_truncations(P, rng):
     _assert_routes_agree(P, _random_perm(P.m, rng))
+
+
+def _assert_has_belt_agrees(P):
+    for k in range(3, 8):
+        assert has_belt(P, k) == bool(enumerate_belts(P, k)), k
+
+
+@pytest.mark.parametrize("name,k", CATALOG)
+def test_has_belt_agrees_with_enumerate_belts_on_catalog(name, k):
+    _assert_has_belt_agrees(catalog(name, k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(truncations())
+def test_has_belt_agrees_with_enumerate_belts_on_truncations(P):
+    _assert_has_belt_agrees(P)
 
 
 def test_catalog_returns_one_shared_polytope():
