@@ -1,8 +1,11 @@
 """Exact linear algebra over the integers and over GF(2).
 
-Matrices are dense lists of rows of Python ints.  Everything here is sized
-for desk-scale inputs (a few hundred rows/columns); the integer routines
-prefer +-1 pivots to keep coefficient growth down.
+Matrices are dense lists of rows of Python ints, except for
+``unit_pivot_factors``, which takes sparse columns (mappings row -> non-zero
+entry), eliminates their +-1 pivots and passes only what is left to the
+dense Smith pass.  Everything here is sized for desk-scale inputs (a few
+hundred rows/columns); the integer routines prefer +-1 pivots to keep
+coefficient growth down.
 
 GF(2) vectors are Python ints, bit i = coordinate i.  ``gf2_vector`` packs a
 row or column of integer entries into one; ``GF2Echelon`` is the one
@@ -205,6 +208,68 @@ def divisibility_form(diag) -> list[int]:
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
     return diag
+
+
+def unit_pivot_factors(columns) -> list[int]:
+    """``invariant_factors`` of the matrix whose columns are given sparse,
+    each a mapping row -> non-zero entry, by eliminating +-1 pivots first.
+
+    Columns are taken in turn and reduced by column operations against the
+    pivots chosen so far, oldest first; a reduced column with a +-1 entry
+    becomes a pivot there, and the left-over columns are taken again until a
+    round finds no pivot.  Each pivot column then has zeros in the rows of
+    the pivots chosen before it, and every left-over column zeros in all
+    pivot rows, so the pivot block is unitriangular; row operations with it
+    clear the rest of the pivot columns and touch no left-over column.  Each
+    pivot thus gives an invariant factor of 1, and the left-over columns,
+    which have no +-1 entry, go to the dense ``invariant_factors``.
+    """
+    pivot_of = {}  # row -> index of its pivot in order
+    order = []  # (row, column) of each pivot, oldest first
+    rest = [col for col in columns if col]
+    while rest:
+        found = len(order)
+        left = []
+        for col in rest:
+            col = _reduce(col, pivot_of, order)
+            for r, a in col.items():
+                if a == 1 or a == -1:
+                    pivot_of[r] = len(order)
+                    order.append((r, col))
+                    break
+            else:
+                if col:
+                    left.append(col)
+        rest = left
+        if len(order) == found:
+            break
+    units = [1] * len(order)
+    if not rest:
+        return units
+    rows = sorted(set().union(*rest))
+    return units + invariant_factors([[col.get(r, 0) for r in rows] for col in rest])
+
+
+def _reduce(col, pivot_of, order):
+    """The sparse column col with the entry in every pivot row cleared,
+    oldest pivot first: clearing with a pivot adds entries only in rows that
+    are no pivot or a newer pivot's, so each pivot is used at most once.
+    col itself is not changed; it is returned as it is when it has no entry
+    in a pivot row."""
+    pending = [pivot_of[r] for r in col if r in pivot_of]
+    if pending:
+        col = dict(col)
+    while pending:
+        row, pivot = order[min(pending)]
+        q = col[row] * pivot[row]  # the pivot entry is +-1, its own inverse
+        for r, a in pivot.items():
+            v = col.get(r, 0) - q * a
+            if v:
+                col[r] = v
+            else:
+                del col[r]
+        pending = [pivot_of[r] for r in col if r in pivot_of]
+    return col
 
 
 def kernel_basis(A) -> list[list[int]]:

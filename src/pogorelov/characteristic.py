@@ -324,8 +324,8 @@ def enumerate_char_z2(P, max_m: int = 14) -> tuple[int, int]:
     `max_m` bounds the number of facets, and SizeGuard is raised above it.
     The backtracking search places one column per facet, so its size grows
     exponentially with m: on a shared 2-vCPU machine with Python 3.11 the
-    dodecahedron (m = 12) takes about 1.4 s and barrel(6) (m = 14, the
-    default bound) about 3 s.  Pass a larger `max_m` to search further.
+    dodecahedron (m = 12) takes about 0.5 s and barrel(6) (m = 14, the
+    default bound) about 1.4 s.  Pass a larger `max_m` to search further.
     """
     if P.n != 3:
         raise ValueError("Z2 enumeration is implemented for 3-polytopes")

@@ -6,16 +6,20 @@ with I a face.  The component of multidegree M splits off a finite cochain
 complex whose cohomology in level p = |I| equals the reduced simplicial
 cohomology of the full subcomplex K_M in degree p - 1 (Hochster).  That
 complex is ``r_basis`` (the faces of each level) with the differential
-``_r_matrix`` (as columns); everything below is built from these two.
+``_r_matrix``, as sparse columns: one {row: +-1} per face, with a few
+non-zero entries each.  Everything below is built from these two.
 
 Each level has numbers (its rank and torsion) and, on demand, a piece (its
 cocycle representatives and a projection onto its classes).  The numbers
-come from one untracked Smith pass per differential over Z, a GF(2) rank
-over Z2, each shared by the two levels it touches.  Betti numbers, torsion
-and the size guard read only these.  A piece takes a tracked Smith pass and
-a quotient pass of its own (GF(2) elimination over Z2), and is built only
-for a level that a class is projected onto or read from: ``from_chain``,
-``h3_class``, ``cup_product`` and ``RingElement.chains``.
+come from one pass per differential, shared by the two levels it touches.
+Over Z that pass eliminates the +-1 pivots of the sparse columns, each an
+invariant factor of 1, and hands what is left, usually nothing, to a dense
+Smith pass (``unit_pivot_factors``); over Z2 the columns are packed into
+bit vectors for one GF(2) rank.  Betti numbers, torsion and the size guard
+read only these.  A piece takes a tracked dense Smith pass and a quotient
+pass of its own (GF(2) elimination over Z2), and is built only for a level
+that a class is projected onto or read from: ``from_chain``, ``h3_class``,
+``cup_product`` and ``RingElement.chains``.
 
 Whenever a level's numbers are first known they are compared with a second
 route, so a disagreement (which would mean a bug) raises InternalMismatch
@@ -47,8 +51,8 @@ from ._intlinalg import (
     gf2_kernel,
     gf2_rank,
     gf2_vector,
-    invariant_factors,
     rank_z,
+    unit_pivot_factors,
 )
 from .complex import (
     GradedHomology,
@@ -115,19 +119,19 @@ def r_basis(K: SimplicialComplex, J) -> dict[int, list[int]]:
     return out
 
 
-def _r_matrix(basis: dict[int, list[int]], jmask: int, p: int) -> list[list[int]]:
+def _r_matrix(basis: dict[int, list[int]], jmask: int, p: int) -> list[dict[int, int]]:
     """The differential d: level p -> level p+1 of multidegree J on a basis
-    built by ``r_basis``, as its columns: one list per level-p face,
-    indexed by the level-(p+1) faces.
+    built by ``r_basis``, as sparse columns: one {row: +-1} per level-p face,
+    rows indexing the level-(p+1) faces, built in time linear in |J| per
+    column.
 
     d(u_{J'} v_I) = sum over j in J' with I+j a face of
     (-1)^(pos of j in J' - 1) u_{J'-j} v_{I+j}.
     """
-    hi = basis.get(p + 1, [])
-    index = {f: i for i, f in enumerate(hi)}
+    index = {f: i for i, f in enumerate(basis.get(p + 1, ()))}
     cols = []
     for L in basis.get(p, ()):
-        col = [0] * len(hi)
+        col = {}
         jm = jmask & ~L
         sign = 1  # (-1)^(pos of j in J \ L - 1), walking j up through J \ L
         while jm:
@@ -141,12 +145,36 @@ def _r_matrix(basis: dict[int, list[int]], jmask: int, p: int) -> list[list[int]
     return cols
 
 
+def _dense(cols: list[dict[int, int]], height: int) -> list[list[int]]:
+    """Sparse columns as dense lists of the given height."""
+    out = []
+    for col in cols:
+        vec = [0] * height
+        for r, a in col.items():
+            vec[r] = a
+        out.append(vec)
+    return out
+
+
+def _gf2(cols: list[dict[int, int]]) -> list[int]:
+    """Sparse columns packed into GF(2) vectors: bit r = entry r mod 2."""
+    out = []
+    for col in cols:
+        v = 0
+        for r, a in col.items():
+            if a % 2:
+                v |= 1 << r
+        out.append(v)
+    return out
+
+
 def r_differential(K: SimplicialComplex, J, p: int) -> list[list[int]]:
-    """``_r_matrix`` of multidegree J as a matrix of rows (rows = level p+1)."""
+    """``_r_matrix`` of multidegree J as a dense matrix of rows (rows =
+    level p+1)."""
     jmask = _mask(J)
     basis = r_basis(K, jmask)
     cols = _r_matrix(basis, jmask, p)
-    return [[col[r] for col in cols] for r in range(len(basis.get(p + 1, ())))]
+    return [[col.get(r, 0) for col in cols] for r in range(len(basis.get(p + 1, ())))]
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +194,26 @@ class _PieceZ:
     (``ZQuotient``) presents the kernel modulo the image of d_in.  Its
     ``torsion`` lists the moduli of the torsion coordinates of ``project``,
     which need not be in divisibility form: diag(2, 3) presents Z6.
+
+    d_in and d_out come as sparse columns, and height is the size of level
+    p+1.  Only d_out^T is made dense, for the tracked Smith pass.
     """
 
     __slots__ = ("basis", "rank", "torsion", "_r", "_sinv", "_quo", "reps")
 
-    def __init__(self, basis, d_in_cols, d_out_t):
+    def __init__(self, basis, d_in, d_out, height):
         self.basis = basis  # list of face masks
         n = len(basis)
-        if d_out_t and d_out_t[0]:
+        if height:
+            d_out_t = _dense(d_out, height)  # d_out's columns are the rows of d_out^T
             D, S, self._sinv, _ = diagonalize(d_out_t, track_left=True, track_inverse=True)
-            self._r = sum(1 for i in range(min(n, len(D[0]))) if D[i][i])
+            self._r = sum(1 for i in range(min(n, height)) if D[i][i])
         else:  # nothing above level p: every chain is a cocycle, S = 1
             S = self._sinv = None
             self._r = 0
         img_coords = []
-        for col in d_in_cols:
-            if any(col):
+        for col in d_in:
+            if any(col.values()):
                 c = self._coords(col)
                 if any(c[: self._r]):
                     raise InternalMismatch("d_out d_in is not zero")
@@ -201,20 +233,23 @@ class _PieceZ:
             reps.append(vec)
         self.reps = reps  # free representatives only
 
-    def _coords(self, z: list[int]) -> list[int]:
-        """z S^-1, summing only the rows of S^-1 where z is non-zero."""
+    def _coords(self, z: dict[int, int]) -> list[int]:
+        """z S^-1 for z given as {basis position: coefficient}, summing only
+        the rows of S^-1 at those positions."""
+        c = [0] * len(self.basis)
         if self._sinv is None:
-            return z
-        c = [0] * len(z)
-        for a, row in zip(z, self._sinv):
+            for i, a in z.items():
+                c[i] = a
+            return c
+        for i, a in z.items():
             if a:
-                c = [x + a * y for x, y in zip(c, row)]
+                c = [x + a * y for x, y in zip(c, self._sinv[i])]
         return c
 
     def project(self, chain: dict) -> tuple[list[int], list[int]]:
         """Coordinates (free, torsion) of a cocycle given as {face mask: coeff};
         ValueError if the chain is not a cocycle."""
-        c = self._coords([chain.get(L, 0) for L in self.basis])
+        c = self._coords({i: chain[L] for i, L in enumerate(self.basis) if L in chain})
         if any(c[: self._r]):
             raise ValueError("not a cocycle")
         return self._quo.coords(c[self._r :])
@@ -272,13 +307,15 @@ class Component:
     The numbers of level p are rank H^p = n_p - rk d_p - rk d_{p-1} and the
     torsion of H^p, the invariant factors above 1 of d_{p-1}.  This is exact
     because ker d_p is saturated and contains im d_{p-1}.  Each differential
-    d_p: level p -> p+1 gets one untracked Smith pass over Z (a GF(2) rank
-    over Z2), shared by the two levels it touches.  Before the numbers of
-    level p are used, d_p d_{p-1} = 0 is checked on the columns and the
-    numbers are compared with H~^{p-1}(K_J), the reduced cohomology of the
-    full subcomplex (Hochster).  On a 2-sphere K that cohomology is counted
-    (free, ranks from components, edges and triangles); otherwise it is
-    computed from K_J.
+    d_p: level p -> p+1 is kept as sparse columns and gets one pass, shared
+    by the two levels it touches: over Z its +-1 pivots are eliminated and
+    only what is left takes a dense Smith pass (``unit_pivot_factors``);
+    over Z2 its columns are packed into bit vectors for a GF(2) rank.  Before
+    the numbers of level p are used, d_p d_{p-1} = 0 is checked on the
+    sparse columns and the numbers are compared with H~^{p-1}(K_J), the
+    reduced cohomology of the full subcomplex (Hochster).  On a 2-sphere K
+    that cohomology is counted (free, ranks from components, edges and
+    triangles); otherwise it is computed from K_J by a dense Smith pass.
 
     A piece (`_PieceZ`, `_PieceZ2`) holds cocycle representatives and
     coordinates, and is built only by ``piece``.  If its level's numbers are
@@ -372,10 +409,16 @@ class Component:
         if len(self._levels) > self.jmask.bit_count():
             self._basis = self._mats = self._diffs = self._hochster = None
 
-    def _mat(self, p: int) -> list[list[int]]:
+    def _mat(self, p: int) -> list[dict[int, int]]:
+        """d_p as sparse columns, one per level-p face; with an empty level
+        on either side d_p is zero and its columns are handed out empty."""
         mat = self._mats.get(p)
         if mat is None:
-            mat = self._mats[p] = _r_matrix(self._basis, self.jmask, p)
+            if p in self._basis and p + 1 in self._basis:
+                mat = _r_matrix(self._basis, self.jmask, p)
+            else:
+                mat = [{} for _ in self._basis.get(p, ())]
+            self._mats[p] = mat
         return mat
 
     def _diff(self, p: int) -> tuple[int, tuple[int, ...]]:
@@ -384,42 +427,42 @@ class Component:
         if got is None:
             if p not in self._basis or p + 1 not in self._basis:
                 return 0, ()  # an empty source or target: nothing to build
-            cols = self._mat(p)  # the transpose, which has the same Smith form
+            cols = self._mat(p)
             if self.coeffs == "Z":
-                factors = invariant_factors(cols)
+                factors = unit_pivot_factors(cols)
                 got = (len(factors), tuple(f for f in factors if f > 1))
             else:
-                got = (gf2_rank([gf2_vector(col) for col in cols]), ())
+                got = (gf2_rank(_gf2(cols)), ())
             self._diffs[p] = got
         return got
 
     def _check_square(self, p: int) -> None:
-        """d_p d_{p-1} = 0, column by column of d_{p-1}.
+        """d_p d_{p-1} = 0, column by column of d_{p-1}, touching only the
+        stored entries of the sparse columns.
 
         The entries are 0 and +-1 (checked), so an entry of the product is
         at most n_p in size.  With B bits per row, B above the bit length of
         n_p, a column of d_p packs exactly into one integer: the sum of its
         entries shifted by B * row.  d_p sends a column of d_{p-1} to zero
-        iff the packed columns at its non-zero rows, times those entries,
-        sum to 0."""
+        iff the packed columns at its rows, times its entries there, sum to
+        0."""
         if p - 1 not in self._basis or p + 1 not in self._basis:
             return  # an empty level on either side: the product is empty
         d_in, d_out = self._mat(p - 1), self._mat(p)
-        entries = itertools.chain(*d_in, *d_out)
+        entries = itertools.chain.from_iterable(col.values() for col in d_in + d_out)
         if not _UNIT.issuperset(entries):
             raise InternalMismatch(f"{self._where(p)}: an entry other than 0, 1, -1")
-        n = len(d_out)
-        shift = n.bit_length() + 1
+        shift = len(d_out).bit_length() + 1
         packed = []
         for col in d_out:
             v = 0
-            for i in itertools.compress(range(len(col)), col):
-                v += col[i] << shift * i
+            for r, a in col.items():
+                v += a << shift * r
             packed.append(v)
         for col in d_in:
             image = 0
-            for r in itertools.compress(range(n), col):
-                image += col[r] * packed[r]
+            for r, a in col.items():
+                image += a * packed[r]
             if image:
                 raise InternalMismatch(f"{self._where(p)}: d_{p} d_{p - 1} is not zero")
 
@@ -427,13 +470,10 @@ class Component:
         return f"multidegree {_unmask(self.jmask)} level {p}"
 
     def _build(self, p: int, lvl: list[int]):
-        # d_out's columns are the rows of d_out^T, which _PieceZ diagonalises
-        d_in_cols, d_out_cols = self._mat(p - 1), self._mat(p)
+        d_in, d_out = self._mat(p - 1), self._mat(p)
         if self.coeffs == "Z":
-            return _PieceZ(lvl, d_in_cols, d_out_cols)
-        return _PieceZ2(
-            lvl, [gf2_vector(col) for col in d_in_cols], [gf2_vector(col) for col in d_out_cols]
-        )
+            return _PieceZ(lvl, d_in, d_out, len(self._basis.get(p + 1, ())))
+        return _PieceZ2(lvl, _gf2(d_in), _gf2(d_out))
 
     def _check(self, p: int, got) -> None:
         if self._hochster is None:
@@ -505,9 +545,9 @@ class MultigradedCohomology:
 
         - `_MAX_VERTICES_FULL` (20) bounds m.  Every multidegree is visited
           and checked, so the cost doubles with each vertex: the
-          dodecahedron (m = 12, 4,096 multidegrees) takes 0.4 to 0.6 s
-          over Z, as load varies, on a shared 2-vCPU machine with Python
-          3.11, and m = 20 would take some 256 times as long.
+          dodecahedron (m = 12, 4,096 multidegrees) takes about 0.22 s
+          over Z on a shared 2-vCPU machine with Python 3.11, and m = 20
+          would take some 256 times as long.
         - `_MAX_TOTAL_DIM` (20,000) bounds the summed rank and torsion count,
           because the ring-wide callers (``basis_classes``,
           ``decomposability_report``, ``annihilator_dim``) build a piece

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from pogorelov import _intlinalg
 from pogorelov._intlinalg import (
     GF2Echelon,
     ZQuotient,
@@ -8,6 +9,8 @@ from pogorelov._intlinalg import (
     gf2_kernel,
     gf2_rank,
     gf2_vector,
+    invariant_factors,
+    unit_pivot_factors,
 )
 from pogorelov.characteristic import _det, _mat_inverse
 
@@ -193,3 +196,70 @@ def test_diagonalize_tracks_the_inverse_when_asked():
             assert free == [int(t == k) for t in range(quo.rank)]
             assert not any(tors)
         assert ZQuotient(nrows, [list(col) for col in zip(*A)]).free_reps is None
+
+
+# -- unit_pivot_factors against the dense Smith pass ----------------------------
+
+
+def sparse_columns(rows, ncols):
+    """The columns of a dense matrix of rows, each as {row: non-zero entry}."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def _record_fallback(monkeypatch):
+    """The matrices the kernel hands to the dense ``invariant_factors``."""
+    seen = []
+    real = _intlinalg.invariant_factors
+
+    def recording(A):
+        seen.append(A)
+        return real(A)
+
+    monkeypatch.setattr(_intlinalg, "invariant_factors", recording)
+    return seen
+
+
+def test_unit_pivot_factors_equal_the_dense_pass_on_random_matrices():
+    rng = random.Random(19)
+    for _ in range(2000):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        density = rng.random()
+        A = [
+            [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        want = invariant_factors(A) if nrows else []
+        assert unit_pivot_factors(sparse_columns(A, ncols)) == want, A
+
+
+def test_unit_pivot_factors_of_empty_zero_and_diagonal_matrices(monkeypatch):
+    seen = _record_fallback(monkeypatch)
+    assert unit_pivot_factors([]) == []
+    assert unit_pivot_factors([{}, {}, {}]) == [] == invariant_factors([[0, 0, 0]] * 4)
+    assert not seen  # nothing is left for the dense pass
+    assert unit_pivot_factors([{0: 2}, {1: 3}]) == [1, 6] == invariant_factors([[2, 0], [0, 3]])
+    assert unit_pivot_factors([{i: 2} for i in range(3)]) == [2, 2, 2]
+    assert len(seen) == 2  # no +-1 entry at all: the whole matrix falls back
+
+
+def test_unit_pivots_run_out_midway_on_a_conjugate_of_diag_1_2_6(monkeypatch):
+    rng = random.Random(6)
+    seen = _record_fallback(monkeypatch)
+    for _ in range(20):
+        U, V = (_random_unimodular(rng, 3) for _ in range(2))
+        A = _product(_product(U, [[1, 0, 0], [0, 2, 0], [0, 0, 6]]), V)
+        assert unit_pivot_factors(sparse_columns(A, 3)) == [1, 2, 6]
+    # one invariant factor is 1, so at most one column is a pivot and 2 and 6
+    # come from the dense pass; in several runs that pivot is found first
+    assert len(seen) == 20
+    widths = [len(A) for A in seen]
+    assert min(widths) == 2 and widths.count(2) >= 5
+
+
+def _random_unimodular(rng, n):
+    U = _identity(n)
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        U[i] = [x + q * y for x, y in zip(U[i], U[j])]
+    return U

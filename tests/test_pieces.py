@@ -5,8 +5,9 @@ cohomology, torsion included, and against the three-pass construction it
 replaced, kept here as the reference: `kernel_basis` of d_out, an exact
 solve in that kernel basis by its own Smith pass, and `ZQuotient`.
 `_r_matrix` is checked against a per-entry reference built on
-`_exterior_sign`, and `from_chain` against chains that are not cocycles or
-not in the level's basis.  The numbers of each level (one untracked Smith
+`_exterior_sign`, `unit_pivot_factors` against the dense Smith pass on every
+differential, and `from_chain` against chains that are not cocycles or not
+in the level's basis.  The numbers of each level (one untracked Smith
 pass per differential) are checked against the pieces on every level, and
 the checks that guard them are shown to run.
 """
@@ -32,6 +33,7 @@ from pogorelov.macohomology import (
 from pogorelov.polytope import catalog, dual_complex
 from test_complex import RP2, TORUS
 from test_counting import truncations
+from test_intlinalg import _record_fallback, sparse_columns
 from test_macohomology import TWO_SEGMENTS
 
 # -- random cochain complexes with known cohomology ---------------------------
@@ -92,8 +94,8 @@ def _columns(rows, ncols):
 
 
 def _piece(d_in, d_out, n):
-    d_in_cols = _columns(d_in, len(d_in[0]) if d_in else 0)
-    return _PieceZ(list(range(n)), d_in_cols, _columns(d_out, n))
+    d_in_cols = sparse_columns(d_in, len(d_in[0]) if d_in else 0)
+    return _PieceZ(list(range(n)), d_in_cols, sparse_columns(d_out, n), len(d_out))
 
 
 def _chain(vec):
@@ -256,16 +258,39 @@ def test_r_matrix_columns_match_the_entrywise_reference_and_square_to_zero(name,
             rows = _r_rows_reference(basis, jmask, p)
             height = len(basis.get(p + 1, []))
             assert len(cols[p]) == len(basis.get(p, []))
-            assert all(len(col) == height for col in cols[p])
-            assert [[col[r] for col in cols[p]] for r in range(height)] == rows
+            # sparse columns: only the non-zero entries, at rows of level p+1
+            assert all(set(col) <= set(range(height)) for col in cols[p])
+            assert all(a in (1, -1) for col in cols[p] for a in col.values())
+            assert [[col.get(r, 0) for col in cols[p]] for r in range(height)] == rows
             assert r_differential(K, jmask, p) == rows
             if p + 1 in cols:  # d_{p+1} d_p = 0, column by column
                 for col in cols[p]:
-                    image = [0] * len(basis.get(p + 2, []))
-                    for a, upper in zip(col, cols[p + 1]):
-                        if a:
-                            image = [x + a * y for x, y in zip(image, upper)]
-                    assert not any(image)
+                    image = {}
+                    for r, a in col.items():
+                        for s, b in cols[p + 1][r].items():
+                            image[s] = image.get(s, 0) + a * b
+                    assert not any(image.values())
+
+
+@pytest.mark.parametrize(
+    "K",
+    [dual_complex(catalog("cube")), dual_complex(catalog("prism", 5)), RP2, TORUS, TWO_SEGMENTS],
+    ids=["cube", "prism5", "RP2", "torus", "two-segments"],
+)
+def test_unit_pivot_factors_equal_the_dense_pass_on_every_differential(K):
+    for jmask in range(1 << K.m):
+        basis = r_basis(K, jmask)
+        for p in range(-1, jmask.bit_count() + 1):
+            rows = r_differential(K, jmask, p)
+            want = invariant_factors(rows) if rows else []
+            assert _intlinalg.unit_pivot_factors(_r_matrix(basis, jmask, p)) == want
+
+
+def test_rp2_torsion_comes_from_the_dense_fallback(monkeypatch):
+    seen = _record_fallback(monkeypatch)
+    assert cohomology(RP2, "Z").torsion_summary() == {9: [2]}
+    # the unit pivots run out on the differential with the 2-torsion
+    assert any(invariant_factors(A)[-1] == 2 for A in seen)
 
 
 # -- from_chain -----------------------------------------------------------------
@@ -309,7 +334,7 @@ def test_from_chain_rejects_faces_outside_the_level_basis(coeffs):
 
 def test_piece_torsion_meets_its_level_in_divisibility_form(monkeypatch):
     # Z6 presented as diag(2, 3): the piece keeps the moduli of its coordinates
-    piece = _PieceZ([1, 2], [[2, 0], [0, 3]], [])
+    piece = _PieceZ([1, 2], [{0: 2}, {1: 3}], [{}, {}], 0)
     assert (piece.rank, piece.torsion) == (0, (2, 3))
     assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
     assert macohomology._normal(piece.torsion) == (6,)
@@ -395,13 +420,16 @@ def test_one_flipped_sign_of_the_differential_raises(monkeypatch, K, coeffs):
     def one_sign_flipped(basis, jmask, p):
         cols = real(basis, jmask, p)
         if (jmask, p) == (target, 1):
-            r = next(r for r, a in enumerate(cols[0]) if a)
+            r = next(iter(cols[0]))  # the first stored entry, which is +-1
             cols[0][r] = -cols[0][r]
+            flipped.append(r)
         return cols
 
+    flipped = []
     monkeypatch.setattr(macohomology, "_r_matrix", one_sign_flipped)
     with pytest.raises(InternalMismatch, match=r"d_1 d_0 is not zero"):
         cohomology(K, coeffs)
+    assert flipped
     # a Z piece built on demand meets the same flipped sign; over Z2 a sign
     # changes nothing the piece computes
     if coeffs == "Z":
@@ -411,13 +439,12 @@ def test_one_flipped_sign_of_the_differential_raises(monkeypatch, K, coeffs):
 
 def test_betti_and_torsion_build_no_piece_and_later_pieces_agree(monkeypatch):
     K = dual_complex(catalog("dodecahedron"))
-    tracked, quotients, pieces = [], [], []
+    tracked, untracked, quotients, pieces = [], [], [], []
     real_diagonalize, real_quotient = _intlinalg.diagonalize, macohomology.ZQuotient
     real_piece = macohomology._PieceZ
 
     def counting_diagonalize(A, **track):
-        if any(track.values()):
-            tracked.append(track)
+        (tracked if any(track.values()) else untracked).append(track)
         return real_diagonalize(A, **track)
 
     def counting_quotient(*args, **kwargs):
@@ -434,7 +461,8 @@ def test_betti_and_torsion_build_no_piece_and_later_pieces_agree(monkeypatch):
     monkeypatch.setattr(macohomology, "_PieceZ", counting_piece)
     H = cohomology(K, "Z")
     betti, torsion = H.betti(), H.torsion_summary()
-    assert (tracked, quotients, pieces) == ([], [], [])
+    # every differential reduces to nothing by unit pivots: no dense Smith pass
+    assert (tracked, untracked, quotients, pieces) == ([], [], [], [])
     assert sum(betti.values()) == 1872 and torsion == {}
     # coordinates asked for afterwards equal those of a fresh cohomology
     fresh = MultigradedCohomology(K, "Z")
