@@ -1,11 +1,12 @@
 """Exact linear algebra over the integers and over GF(2).
 
-Matrices are dense lists of rows of Python ints, except for
-``unit_pivot_factors``, which takes sparse columns (mappings row -> non-zero
-entry), eliminates their +-1 pivots and passes only what is left to the
-dense Smith pass.  Everything here is sized for desk-scale inputs (a few
-hundred rows/columns); the integer routines prefer +-1 pivots to keep
-coefficient growth down.
+Matrices are dense lists of rows of Python ints, except for the sparse
+columns (mappings row -> non-zero entry) of ``unit_pivot_factors`` and
+``cyclic_functional``: both eliminate the +-1 pivots with one loop
+(``_unit_pivots``) and pass only what is left to a dense Smith pass.
+Everything here is sized for desk-scale inputs (a few hundred
+rows/columns); the integer routines prefer +-1 pivots to keep coefficient
+growth down.
 
 GF(2) vectors are Python ints, bit i = coordinate i.  ``gf2_vector`` packs a
 row or column of integer entries into one; ``GF2Echelon`` is the one
@@ -210,22 +211,15 @@ def divisibility_form(diag) -> list[int]:
     return diag
 
 
-def unit_pivot_factors(columns) -> list[int]:
-    """``invariant_factors`` of the matrix whose columns are given sparse,
-    each a mapping row -> non-zero entry, by eliminating +-1 pivots first.
-
-    Columns are taken in turn and reduced by column operations against the
-    pivots chosen so far, oldest first; a reduced column with a +-1 entry
-    becomes a pivot there, and the left-over columns are taken again until a
-    round finds no pivot.  Each pivot column then has zeros in the rows of
-    the pivots chosen before it, and every left-over column zeros in all
-    pivot rows, so the pivot block is unitriangular; row operations with it
-    clear the rest of the pivot columns and touch no left-over column.  Each
-    pivot thus gives an invariant factor of 1, and the left-over columns,
-    which have no +-1 entry, go to the dense ``invariant_factors``.
-    """
-    pivot_of = {}  # row -> index of its pivot in order
-    order = []  # (row, column) of each pivot, oldest first
+def _unit_pivots(columns):
+    """(pivots, rest) of sparse columns: each +-1 pivot as (row, reduced
+    column), oldest first, and the left-over columns.  Columns are taken in
+    turn and reduced against the pivots so far, oldest first; a reduced
+    column with a +-1 entry becomes a pivot there, and the left-over columns
+    are taken again until a round finds no pivot.  So the pivot block is
+    unitriangular, and the left-over columns have no +-1 entry and zeros in
+    every pivot row."""
+    pivot_of, order = {}, []  # row -> index of its pivot in order
     rest = [col for col in columns if col]
     while rest:
         found = len(order)
@@ -243,11 +237,49 @@ def unit_pivot_factors(columns) -> list[int]:
         rest = left
         if len(order) == found:
             break
-    units = [1] * len(order)
+    return order, rest
+
+
+def unit_pivot_factors(columns) -> list[int]:
+    """``invariant_factors`` of the matrix whose columns are given sparse,
+    each a mapping row -> non-zero entry.  Row operations with the
+    unitriangular block of ``_unit_pivots`` clear the rest of the pivot
+    columns and touch no left-over column, so each pivot gives a factor of 1
+    and only the left-over columns go to the dense ``invariant_factors``."""
+    order, rest = _unit_pivots(columns)
     if not rest:
-        return units
+        return [1] * len(order)
     rows = sorted(set().union(*rest))
-    return units + invariant_factors([[col.get(r, 0) for r in rows] for col in rest])
+    return [1] * len(order) + invariant_factors([[col.get(r, 0) for r in rows] for col in rest])
+
+
+def cyclic_functional(n: int, columns) -> list[int]:
+    """The primitive functional phi on Z^n that vanishes on every sparse
+    column, unique up to sign, when Z^n modulo the columns is Z; ValueError
+    when the quotient has another rank or torsion.  Modulo the pivot columns
+    of ``_unit_pivots``, Z^n is free on the unpivoted rows: phi is 1 on the
+    only one when nothing is left over, else the free row of the dense
+    ``ZQuotient`` of the left-over columns there.  It is back-substituted
+    through the pivots, newest first, whose columns meet only rows set."""
+    order, rest = _unit_pivots(columns)
+    pivots = {r for r, _ in order}
+    free = [r for r in range(n) if r not in pivots]
+    phi = [0] * n
+    if rest:
+        quo = ZQuotient(len(free), [[col.get(r, 0) for r in free] for col in rest])
+        cyclic = quo.rank == 1 and not quo.torsion
+        if cyclic:
+            for r, a in zip(free, quo.S[quo.free_idx[0]]):
+                phi[r] = a
+    else:
+        cyclic = len(free) == 1
+        if cyclic:
+            phi[free[0]] = 1
+    if not cyclic:
+        raise ValueError("the quotient of Z^n by the columns is not Z")
+    for r, col in reversed(order):
+        phi[r] = -col[r] * sum(a * phi[s] for s, a in col.items() if s != r)
+    return phi
 
 
 def _reduce(col, pivot_of, order):

@@ -509,7 +509,7 @@ class MultigradedCohomology:
         self.K = K
         self.coeffs = coeffs
         self._components: dict[int, Component] = {}
-        self._complete = False
+        self._nonzero = None  # non-zero levels, once compute_all has run
 
     # -- component computation ------------------------------------------------
 
@@ -538,8 +538,9 @@ class MultigradedCohomology:
 
     def compute_all(self) -> "MultigradedCohomology":
         """Compute and keep the numbers (rank and torsion of every level) of
-        each of the 2^m multidegrees, checked as ``Component`` describes.
-        No piece is built: a later projection builds the pieces it needs.
+        each of the 2^m multidegrees, checked as ``Component`` describes, and
+        the list of non-zero levels that the global views read.  No piece is
+        built: a later projection builds the pieces it needs.
 
         Two guards raise SizeGuard before the work outgrows its use:
 
@@ -556,35 +557,31 @@ class MultigradedCohomology:
         Work on single multidegrees (`component`, products,
         `h3_square_trivial`) visits few of them and is not guarded.
         """
-        if self._complete:
+        if self._nonzero is not None:
             return self
         m = self.K.m
         if m > _MAX_VERTICES_FULL:
             raise SizeGuard(f"full cohomology over {m} vertices exceeds the guard")
-        total = 0
+        total, nonzero = 0, []
         for jmask in range(1 << m):
             comp = self.component(jmask)
             for p in range(jmask.bit_count() + 1):
                 rank, torsion = comp.numbers(p)
-                total += rank + len(torsion)
+                if rank or torsion:
+                    nonzero.append((jmask, p, rank, torsion))
+                    total += rank + len(torsion)
             if total > _MAX_TOTAL_DIM:
                 raise SizeGuard("total cohomology dimension exceeds the guard")
-        self._complete = True
+        self._nonzero = nonzero
         return self
 
     # -- global views ----------------------------------------------------------
 
-    def _nonzero_levels(self):
-        """(jmask, p, rank, torsion) for every level with a class, after
+    def _nonzero_levels(self) -> list:
+        """(jmask, p, rank, torsion) for every level with a class, as kept by
         ``compute_all``: multidegrees ascending, and levels ascending within
         each."""
-        self.compute_all()
-        for jmask in sorted(self._components):
-            comp = self._components[jmask]
-            for p in range(jmask.bit_count() + 1):
-                rank, torsion = comp.numbers(p)
-                if rank or torsion:
-                    yield jmask, p, rank, torsion
+        return self.compute_all()._nonzero
 
     def betti(self) -> dict[int, int]:
         out = {}

@@ -3,12 +3,13 @@ and small covers, plus the ring-isomorphism decisions.
 
 A ring is presented by evaluation data: the value of every product of n
 degree-two generator classes against the fundamental class, computed exactly
-in the quotient ring Z[v_1..v_m]/I.  The linear relations are the rows of L
-normalised by the inverse of its base-vertex minor (the same row span, with
-unit columns at the base vertex), and the top form is the free row of the
-left Smith factor of the degree-n relation matrix.  The orientation
-convention is that the lexicographically least vertex (the base vertex)
-evaluates to +1.
+in the Davis-Januszkiewicz quotient Z[v_1..v_m]/(I_P + J_L).  The linear
+relations are the rows of L normalised by the inverse of its base-vertex
+minor (the same row span, with unit columns at the base vertex).  Their
+products with the degree-(n-1) face-supported monomials are sparse, nearly
+all with a +-1 pivot, and the top form is the primitive functional that
+vanishes on them (``_TopForm``).  The orientation convention is that the
+lexicographically least vertex (the base vertex) evaluates to +1.
 Products with repeated generators are part of the data, so a match of two
 presentations under a facet bijection and sign pattern is exactly a ring
 isomorphism sending generators to signed generators.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from ._intlinalg import GF2Echelon, ZQuotient, gf2_vector
+from ._intlinalg import GF2Echelon, cyclic_functional
 from .belts import is_pogorelov
 from .characteristic import (
     CharMatrix,
@@ -39,111 +40,78 @@ class ModeUnsupported(ValueError):
 
 
 def _face_supported_monomials(P, n):
-    """Degree-n monomials (as sorted index multisets) whose support is a face."""
-    out = []
-    for i in range(1, P.m + 1):
-        out.append((i,) * n)
+    """Degree-n monomials (n = 2 or 3, as sorted index tuples) whose support
+    is a face, sorted."""
+    edges = [(i, j) for i, j in itertools.combinations(range(1, P.m + 1), 2) if P.adjacent(i, j)]
+    out = [(i,) * n for i in range(1, P.m + 1)]
     if n == 2:
-        for i, j in itertools.combinations(range(1, P.m + 1), 2):
-            if P.adjacent(i, j):
-                out.append((i, j))
-    else:
-        for i, j in itertools.combinations(range(1, P.m + 1), 2):
-            if P.adjacent(i, j):
-                out.append((i, i, j))
-                out.append((i, j, j))
-        for vert in P.vertex_tuples:
-            out.append(tuple(sorted(vert)))
-    out.sort()
-    return out
+        return sorted(out + edges)
+    out += [mo for i, j in edges for mo in ((i, i, j), (i, j, j))]
+    return sorted(out + [tuple(sorted(vert)) for vert in P.vertex_tuples])
 
 
 class _TopForm:
     """The functional H^(2n) = Z (or Z2): value of each degree-n monomial.
 
     ``rows`` are the rows of L normalised by the base vertex (see
-    ``_normalised_rows``).  The relations are the products of each row's
-    linear form with the degree-(n-1) face-supported monomials; they span the
-    same lattice as those of L, since the ideal depends only on the row span,
-    but the unit base-vertex columns keep the coefficients of the integer
-    Smith form small whatever unimodular change L's rows went through.  Over
-    Z the quotient of the face-supported monomials by the relations is
-    infinite cyclic, and the value of the monomial at position ``pos`` is the
-    entry at ``pos`` of the free row of the left Smith factor.  ``value``
-    holds every face-supported monomial, in the order of
-    ``_face_supported_monomials``."""
+    ``_normalised_rows``).  The relations, built once as sparse {monomial
+    position: coefficient} maps, are the products of each row's linear form
+    with the degree-(n-1) face-supported monomials: they span the same
+    lattice as those of L, and the unit base-vertex columns give almost all
+    of them a +-1 pivot.  Over Z the top form is the primitive functional
+    that vanishes on them (``cyclic_functional``), signed so the base vertex
+    evaluates to 1; over Z2 a monomial evaluates to 1 when it lies outside
+    their span.  ``value`` holds every face-supported monomial, in the order
+    of ``_face_supported_monomials``."""
 
     def __init__(self, P, rows, ring: str):
-        n = P.n
-        monos = _face_supported_monomials(P, n)
-        index = {mo: i for i, mo in enumerate(monos)}
+        monos = _face_supported_monomials(P, P.n)
+        lower = {}  # degree-(n-1) monomial T -> {facet i: position of T v_i}
+        for pos, mo in enumerate(monos):
+            for k, i in enumerate(mo):
+                lower.setdefault(mo[:k] + mo[k + 1:], {})[i] = pos
         relations = []
-        if n == 2:
-            lower = [(i,) for i in range(1, P.m + 1)]
-        else:
-            lower = [(i, i) for i in range(1, P.m + 1)] + [
-                (i, j)
-                for i, j in itertools.combinations(range(1, P.m + 1), 2)
-                if P.adjacent(i, j)
-            ]
         for row in rows:
-            for T in lower:
-                rel = [0] * len(monos)
-                touched = False
-                for i in range(1, P.m + 1):
-                    c = row[i - 1]
-                    if not c:
-                        continue
-                    mono = tuple(sorted(T + (i,)))
-                    pos = index.get(mono)
-                    if pos is not None:
-                        rel[pos] += c
-                        touched = True
-                if touched and any(rel):
+            for targets in lower.values():
+                rel = {pos: row[i - 1] for i, pos in targets.items() if row[i - 1]}
+                if rel:
                     relations.append(rel)
-        base = tuple(sorted(min(P.vertex_tuples)))
+        base = monos.index(tuple(sorted(min(P.vertex_tuples))))
         if ring == "Z":
-            quo = ZQuotient(len(monos), relations)
-            if quo.rank != 1 or quo.torsion:
+            try:
+                phi = cyclic_functional(len(monos), relations)
+            except ValueError:
                 raise NotCharacteristic(
                     "top cohomology is not infinite cyclic; matrix is not characteristic"
-                )
-            free_row = quo.S[quo.free_idx[0]]
-            unit = free_row[index[base]]
+                ) from None
+            unit = phi[base]
             if unit not in (1, -1):
                 raise InvariantViolation("base vertex does not generate the top group")
-            self.value = {mo: unit * free_row[pos] for pos, mo in enumerate(monos)}
+            self.value = {mo: unit * phi[pos] for pos, mo in enumerate(monos)}
         else:
-            # GF(2): quotient by the span of the relations
             ech = GF2Echelon()
             for rel in relations:
-                ech.add(gf2_vector(rel))
+                ech.add(sum(1 << pos for pos, c in rel.items() if c % 2))
             if len(monos) - ech.count != 1:
-                raise NotCharacteristic(
-                    "Z2 top cohomology does not have dimension 1"
-                )
+                raise NotCharacteristic("Z2 top cohomology does not have dimension 1")
             # with a one-dimensional quotient a monomial is 0 or the generator
             self.value = {
                 mo: 1 if ech.reduce(1 << pos)[0] else 0 for pos, mo in enumerate(monos)
             }
-            if self.value[base] != 1:
+            if self.value[monos[base]] != 1:
                 raise InvariantViolation("base vertex vanishes in Z2 top cohomology")
         for vert in P.vertex_tuples:
-            mo = tuple(sorted(vert))
-            val = self.value[mo]
-            good = val in (1, -1) if ring == "Z" else val == 1
-            if not good:
+            val = self.value[tuple(sorted(vert))]
+            if not (val in (1, -1) if ring == "Z" else val == 1):
                 raise InvariantViolation(f"vertex {vert} does not evaluate to a unit")
 
     def __call__(self, mono) -> int:
-        mono = tuple(sorted(mono))
-        return self.value.get(mono, 0)
+        return self.value.get(tuple(sorted(mono)), 0)
 
 
 def _oriented_det_sign(P, L: CharMatrix, vert) -> int:
     """det of the columns in the positive cyclic order of the vertex."""
-    order = P.oriented_vertex(vert)
-    return _det([L.column(i) for i in order])
+    return _det([L.column(i) for i in P.oriented_vertex(vert)])
 
 
 @dataclass

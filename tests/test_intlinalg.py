@@ -1,10 +1,13 @@
 import itertools
 import random
 
+import pytest
+
 from pogorelov import _intlinalg
 from pogorelov._intlinalg import (
     GF2Echelon,
     ZQuotient,
+    cyclic_functional,
     diagonalize,
     gf2_kernel,
     gf2_rank,
@@ -263,3 +266,73 @@ def _random_unimodular(rng, n):
         q = rng.choice((-2, -1, 1, 2))
         U[i] = [x + q * y for x, y in zip(U[i], U[j])]
     return U
+
+
+# -- cyclic_functional against the free row of the dense quotient --------------
+
+
+def _record_quotients(monkeypatch):
+    """The sizes of the dense ``ZQuotient`` calls made inside ``_intlinalg``."""
+    seen = []
+    real = _intlinalg.ZQuotient
+
+    def recording(n, columns, lifts=False):
+        seen.append((n, len(columns)))
+        return real(n, columns, lifts)
+
+    monkeypatch.setattr(_intlinalg, "ZQuotient", recording)
+    return seen
+
+
+def test_cyclic_functional_is_the_free_row_of_the_dense_quotient(monkeypatch):
+    seen = _record_quotients(monkeypatch)
+    rng = random.Random(23)
+    cases = {"units": 0, "fallback": 0, "torsion": 0, "rank 0": 0, "rank >= 2": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 8)
+        ncols = rng.randint(0, n + 2)
+        density = rng.uniform(0.2, 0.6)
+        A = [
+            [rng.choice((1, -1, 1, -1, 2, -2, 3, 5)) if rng.random() < density else 0
+             for _ in range(ncols)]
+            for _ in range(n)
+        ]
+        quo = ZQuotient(n, [list(col) for col in zip(*A)])  # the whole matrix, dense
+        before = len(seen)
+        if quo.rank == 1 and not quo.torsion:
+            phi = cyclic_functional(n, sparse_columns(A, ncols))
+            free_row = quo.S[quo.free_idx[0]]
+            assert phi in (free_row, [-a for a in free_row]), A
+            cases["fallback" if len(seen) > before else "units"] += 1
+            continue
+        with pytest.raises(ValueError, match="not Z"):
+            cyclic_functional(n, sparse_columns(A, ncols))
+        if quo.rank == 1:
+            cases["torsion"] += 1
+        else:
+            cases["rank 0" if quo.rank == 0 else "rank >= 2"] += 1
+    assert min(cases.values()) >= 50, cases
+
+
+def test_cyclic_functional_on_small_presentations(monkeypatch):
+    seen = _record_quotients(monkeypatch)
+    # a path of unit relations x_i = x_(i+1): every pivot is a unit
+    assert cyclic_functional(4, [{i: 1, i + 1: -1} for i in range(3)]) in ([1] * 4, [-1] * 4)
+    assert cyclic_functional(1, []) == [1]
+    assert not seen
+    # Z^2 / (2, 3) is Z, with no +-1 entry: the dense quotient supplies (3, -2)
+    assert cyclic_functional(2, [{0: 2, 1: 3}]) in ([3, -2], [-3, 2])
+    # a unit pivot, then a left-over column 2 x_1 + 3 x_2 on the unpivoted rows
+    assert cyclic_functional(3, [{0: 1, 1: 1}, {1: 2, 2: 3}]) in ([-3, 3, -2], [3, -3, 2])
+    assert seen == [(2, 1), (2, 1)]
+    for n, columns in (
+        (2, [{0: 2}]),  # Z + Z/2
+        (2, [{0: 4, 1: 2}]),  # Z + Z/2 again, nothing to pivot on
+        (1, [{0: 1}]),  # rank 0
+        (2, [{0: 1, 1: 1}, {0: 1, 1: -1}]),  # rank 0 with torsion Z/2
+        (3, [{0: 1}]),  # rank 2
+        (2, []),  # rank 2, no relation
+        (0, []),  # rank 0, no coordinate
+    ):
+        with pytest.raises(ValueError, match="not Z"):
+            cyclic_functional(n, columns)

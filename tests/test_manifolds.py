@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from test_characteristic import _scramble
 
+from pogorelov import _intlinalg
 from pogorelov._intlinalg import GF2Echelon, ZQuotient, gf2_vector, xgcd
 from pogorelov.characteristic import (
     CharMatrix,
@@ -14,6 +15,7 @@ from pogorelov.characteristic import (
     enumerate_colourings,
     is_characteristic,
 )
+from pogorelov.constructions import edge_truncate
 from pogorelov.manifolds import (
     IsoDecision,
     ModeUnsupported,
@@ -334,17 +336,21 @@ def test_each_decision_rejects_the_other_coefficient_ring():
     assert sc_isomorphic(N, N).isomorphic and ring_isomorphic(R, R).isomorphic
 
 
-def _shear_scramble(L, rng):
-    """Act on the rows of L by a signed permutation and three +-1 shears, and
-    flip column signs."""
+def _shear_scramble(L, rng, hard=False):
+    """Act on the rows of L by a signed permutation and three +-1 shears, or
+    (``hard``) three +-1/+-2 shears redrawn until the largest entry is 3 to
+    5, and flip column signs."""
     n = L.n
-    perm = rng.sample(range(n), n)
-    A = [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(3):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((1, -1))
-        for t in range(n):
-            A[i][t] += c * A[j][t]
+    while True:
+        perm = rng.sample(range(n), n)
+        A = [[rng.choice((1, -1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        for _ in range(3):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2) if hard else (1, -1))
+            for t in range(n):
+                A[i][t] += c * A[j][t]
+        if not hard or 3 <= max(abs(a) for row in A for a in row) <= 5:
+            break
     signs = [rng.choice((1, -1)) for _ in range(L.m)]
     return CharMatrix(
         n=n,
@@ -357,15 +363,15 @@ def _shear_scramble(L, rng):
 
 
 def _reference_top_values(P, L):
-    """Top-form values from the definition: the face-supported degree-3
-    monomials modulo the products of L's raw rows with every degree-2
-    monomial, each unit vector projected to the free coordinate and
-    normalised so the base vertex evaluates to 1."""
-    monos = _face_supported_monomials(P, 3)
+    """Top-form values from the definition: the face-supported degree-n
+    monomials modulo the products of L's raw rows with every degree-(n-1)
+    monomial, each unit vector projected to the free coordinate of the dense
+    quotient and normalised so the base vertex evaluates to 1."""
+    monos = _face_supported_monomials(P, P.n)
     index = {mo: i for i, mo in enumerate(monos)}
     relations = []
     for row in L.rows:
-        for T in itertools.combinations_with_replacement(range(1, P.m + 1), 2):
+        for T in itertools.combinations_with_replacement(range(1, P.m + 1), P.n - 1):
             rel = [0] * len(monos)
             for i in range(1, P.m + 1):
                 pos = index.get(tuple(sorted(T + (i,))))
@@ -386,12 +392,46 @@ def _reference_top_values(P, L):
 
 def test_top_form_matches_its_definition():
     rng = random.Random(31)
-    for P in (catalog("cube"), catalog("prism", 6), catalog("dodecahedron")):
+    D = catalog("dodecahedron")
+    shapes = (
+        catalog("cube"), catalog("prism", 6), D, catalog("barrel", 6),
+        edge_truncate(D, D.edges()[7]),
+    )
+    for P in shapes:
         L = colouring_to_matrix(rng.choice(enumerate_colourings(P)))
-        for M in [L] + [_shear_scramble(L, rng) for _ in range(3)]:
+        scrambles = [_shear_scramble(L, rng) for _ in range(3)]
+        for M in [L] + scrambles + [_shear_scramble(L, rng, hard=True) for _ in range(2)]:
             assert qt_ring(P, M).top.value == _reference_top_values(P, M)
             M2 = M.reduce_mod2()
             assert sc_ring(P, M2).top.value == _reference_top_values(P, M2)
+    for m in (3, 4, 5, 7):
+        fans = [_random_valid_polygon_matrix(m, rng) for _ in range(3)]
+        fans.append(_blown_up_fan([(1, 0), (0, 1), (-1, -1)], m, rng))
+        for L in fans + [_shear_scramble(L, rng, hard=True) for L in fans]:
+            assert qt_ring(polygon(m), L).top.value == _reference_top_values(polygon(m), L)
+            L2 = L.reduce_mod2()
+            assert sc_ring(polygon(m), L2).top.value == _reference_top_values(polygon(m), L2)
+
+
+def test_top_forms_of_colouring_matrices_make_no_dense_smith_pass(monkeypatch):
+    calls = []
+    real = _intlinalg.diagonalize
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_intlinalg, "diagonalize", counting)
+    rng = random.Random(8)
+    for P in (catalog("dodecahedron"), catalog("barrel", 6)):
+        for chi in rng.sample(enumerate_colourings(P), 5):
+            L = colouring_to_matrix(chi)
+            qt_ring(P, L)
+            sc_ring(P, L.reduce_mod2())
+    assert calls == []
+    # the counter sees the dense pass where one runs
+    ZQuotient(2, [[2, 3]])
+    assert calls == [2]
 
 
 def test_qt_ring_on_scrambled_dodecahedron_finishes():
